@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from anonarray import Credential
-from anonarray.constraints import DONT_CARE, HARD, classify
+from anonarray.constraints import DONT_CARE, HARD, SOFT, classify
 
 
 def brute_force_guarantee(array, t, constraints):
@@ -94,4 +94,26 @@ def brute_force_infeasible_credentials(schema, hard, t):
                 cred = Credential(tuple(zip(cols, values)))
                 if not any(cred.contained_in_row(row) for row in legal_rows):
                     out.append(cred)
+    return out
+
+
+def brute_force_short_credentials(array, r_target, t, constraints):
+    """Every appearing credential short of r_target, in `validate` order:
+    size-t credentials by column set and values, skipping don't-care ones,
+    then the soft constraints smaller than t.  Counts come from scanning
+    every row per credential."""
+    schema = array.schema
+    out = []
+    for cols in combinations(range(schema.k), t):
+        for values in product(*(range(schema.sizes[c]) for c in cols)):
+            cred = Credential(tuple(zip(cols, values)))
+            count = sum(1 for row in array.rows if cred.contained_in_row(row))
+            kind = classify(cred, constraints)
+            if kind != DONT_CARE and 0 < count < r_target:
+                out.append((cols, cred, count, kind))
+    for s in sorted(constraints.soft):
+        if len(s) < t:
+            count = sum(1 for row in array.rows if s.contained_in_row(row))
+            if 0 < count < r_target:
+                out.append((None, s, count, SOFT))
     return out

@@ -24,6 +24,7 @@ from oracles import (
     brute_force_guarantee,
     brute_force_infeasible_credentials,
     brute_force_local_homogeneity,
+    brute_force_short_credentials,
 )
 
 
@@ -81,6 +82,14 @@ def test_guarantee_matches_brute_force(case):
     array, t, constraints = case
     report = compute_guarantee(array, t, constraints)
     assert report.r == brute_force_guarantee(array, t, constraints)
+
+
+@given(arrays_with_constraints(), st.integers(1, 5))
+@settings(max_examples=150, deadline=None)
+def test_validate_violations_match_brute_force(case, r_target):
+    array, t, constraints = case
+    got = validate(array, r_target, t, constraints).violations
+    assert list(got) == brute_force_short_credentials(array, r_target, t, constraints)
 
 
 @given(arrays())
