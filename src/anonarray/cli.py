@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: verify, profile, homogeneity, construct, constraints-derive.
-Exit codes: 0 success, 1 parse/schema error, 2 anonymity violation,
-3 hard-constraint violation, 4 row budget exceeded, 5 infeasible
-constraint system.  Machine output (--json) is versioned; human output
-may evolve.
+Exit codes: 0 success, 1 parse, schema or invalid-parameter error (such
+as `verify --t 9` on four attributes or `construct --r 1`), 2 anonymity
+violation, 3 hard-constraint violation, 4 row budget exceeded, 5
+infeasible constraint system.  Machine output (--json) is versioned;
+human output may evolve.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from . import construct as construct_mod
 from . import homogeneity as hom
 from . import verify as verify_mod
-from .constraints import EMPTY_CONSTRAINTS, check_feasibility, derive_implicit_hard
+from .constraints import EMPTY_CONSTRAINTS, check_feasibility
 from .errors import (
     AnonArrayError,
     BudgetExceededError,
@@ -69,10 +70,12 @@ def _warn_trivial(schema):
 def cmd_verify(args) -> int:
     schema, array, constraints, allowed = _load_inputs(args)
     _warn_trivial(schema)
-    report = verify_mod.compute_guarantee(array, args.t, constraints, allowed)
     result = None
-    if args.r is not None:
+    if args.r is None:
+        report = verify_mod.compute_guarantee(array, args.t, constraints, allowed)
+    else:
         result = verify_mod.validate(array, args.r, args.t, constraints, allowed)
+        report = result.report
 
     if args.json:
         doc = {
@@ -220,7 +223,8 @@ def cmd_construct(args) -> int:
         return EXIT_BUDGET
 
     text = serialize_array(result.array)
-    if args.output and args.output != "-":
+    to_file = args.output and args.output != "-"
+    if to_file:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -237,7 +241,8 @@ def cmd_construct(args) -> int:
         ),
     }
     if args.json:
-        print(json.dumps(summary, indent=2))
+        # stdout carries the CSV unless it went to a file
+        print(json.dumps(summary, indent=2), file=sys.stdout if to_file else sys.stderr)
     else:
         print(
             f"rows={summary['rows']} padding={summary['padding_count']} "
@@ -251,8 +256,8 @@ def cmd_construct(args) -> int:
 def cmd_constraints_derive(args) -> int:
     schema = load_schema(args.schema)
     constraints, _ = load_constraints(args.constraints, schema)
-    derived = derive_implicit_hard(schema, constraints, args.t)
     report = check_feasibility(schema, constraints, args.t)
+    derived = report.implicit_hard
     if args.json:
         doc = {
             "format_version": FORMAT_VERSION,
@@ -292,12 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_constraints:
             p.add_argument("constraints", nargs="?", help="constraints JSON file")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=0,
-            help="worker bound (0 = all cores); results never depend on it",
-        )
 
     p = sub.add_parser("verify", help="compute the anonymity guarantee")
     common(p)
@@ -326,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("constraints", nargs="?", help="constraints JSON file")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--threads", type=int, default=0)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -344,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("constraints", help="constraints JSON file")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--threads", type=int, default=0)
     p.set_defaults(func=cmd_constraints_derive)
 
     return parser

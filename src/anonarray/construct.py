@@ -31,6 +31,7 @@ from .model import (
     ColumnSet,
     Credential,
     Row,
+    _projector,
     enumerate_column_sets,
 )
 from .verify import GuaranteeReport, compute_guarantee, validate
@@ -81,66 +82,53 @@ class _State:
     """Mutable per-attempt counts over the growing row list."""
 
     def __init__(self, schema, constraints: ConstraintSet, t: int, rows: List[Row]):
-        self.schema = schema
-        self.constraints = constraints
-        self.t = t
         self.rows = list(rows)
-        self.column_sets = list(enumerate_column_sets(schema.k, t))
+        self.projectors = [
+            (cols, _projector(cols)) for cols in enumerate_column_sets(schema.k, t)
+        ]
         self.counts: Dict[ColumnSet, Counter] = {
-            cols: Counter() for cols in self.column_sets
+            cols: Counter(map(proj, self.rows)) for cols, proj in self.projectors
         }
-        self.small_soft = sorted(s for s in constraints.soft if len(s) < t)
-        self.soft_counts: Counter = Counter()
-        for row in self.rows:
-            self._count(row)
-
-    def _count(self, row: Row) -> None:
-        for cols in self.column_sets:
-            self.counts[cols][tuple(row[c] for c in cols)] += 1
-        # size-t soft credentials are tracked via self.counts; oversized
-        # ones are inert for this t
-        for s in self.small_soft:
-            if s.contained_in_row(row):
-                self.soft_counts[s] += 1
+        # Kinds never change as rows are appended, so every size-t
+        # credential that may need rows is classified once here.
+        self.needs: List[Tuple[ColumnSet, Row, Credential, str]] = []
+        for cols, _ in self.projectors:
+            for values in itertools.product(*(range(schema.sizes[c]) for c in cols)):
+                cred = Credential(tuple(zip(cols, values)))
+                kind = classify(cred, constraints)
+                if kind not in (HARD, DONT_CARE):
+                    self.needs.append((cols, values, cred, kind))
+        # oversized soft credentials are inert for this t
+        self.soft = sorted(s for s in constraints.soft if len(s) <= t)
+        self.soft_counts: Counter = Counter(
+            s for row in self.rows for s in self.soft if s.contained_in_row(row)
+        )
 
     def append(self, row: Row) -> None:
         self.rows.append(row)
-        self._count(row)
+        for cols, proj in self.projectors:
+            self.counts[cols][proj(row)] += 1
+        for s in self.soft:
+            if s.contained_in_row(row):
+                self.soft_counts[s] += 1
 
     def soft_zero(self) -> List[Credential]:
         """Soft credentials currently absent from every row."""
-        out = []
-        for s in sorted(self.constraints.soft):
-            if len(s) > self.t:
-                continue
-            if len(s) == self.t:
-                cols = s.attributes
-                values = tuple(v for _, v in s.pairs)
-                if self.counts[cols].get(values, 0) == 0:
-                    out.append(s)
-            elif self.soft_counts.get(s, 0) == 0:
-                out.append(s)
-        return out
+        return [s for s in self.soft if not self.soft_counts[s]]
 
 
 def _deficiency_from_state(state: _State, r_target: int) -> DeficiencyMap:
-    schema, constraints = state.schema, state.constraints
     out: DeficiencyMap = {}
-    for cols in state.column_sets:
-        counts = state.counts[cols]
-        for values in itertools.product(*(range(schema.sizes[c]) for c in cols)):
-            cred = Credential(tuple(zip(cols, values)))
-            kind = classify(cred, constraints)
-            if kind in (HARD, DONT_CARE):
-                continue
-            count = counts.get(values, 0)
-            if count == 0:
-                if kind == UNCONSTRAINED:
-                    out[(cols, cred)] = r_target
-            elif count < r_target:
-                out[(cols, cred)] = r_target - count
-    for s in state.small_soft:
-        count = state.soft_counts.get(s, 0)
+    for cols, values, cred, kind in state.needs:
+        count = state.counts[cols].get(values, 0)
+        if count == 0:
+            if kind == UNCONSTRAINED:
+                out[(cols, cred)] = r_target
+        elif count < r_target:
+            out[(cols, cred)] = r_target - count
+    # a size-t soft credential rewrites its own entry from the needs above
+    for s in state.soft:
+        count = state.soft_counts[s]
         if 0 < count < r_target:
             out[(s.attributes, s)] = r_target - count
     return out
@@ -218,10 +206,8 @@ def _run_attempt(
     state = _State(schema, constraints, config.t, base_rows)
     trace: List[Tuple[Row, int]] = []
     hw = config.homogeneity_weight
-    while True:
-        defic = _deficiency_from_state(state, config.r_target)
-        if not defic:
-            return state.rows, trace
+    defic = _deficiency_from_state(state, config.r_target)
+    while defic:
         if config.max_rows is not None and len(state.rows) >= config.max_rows:
             raise BudgetExceededError(partial_rows=list(state.rows), remaining=defic)
         targets = sorted(defic)
@@ -244,8 +230,8 @@ def _run_attempt(
             score = Fraction(matched)
             if hw:
                 penalty = Fraction(0)
-                for cols in state.column_sets:
-                    count = state.counts[cols].get(tuple(row[c] for c in cols), 0)
+                for cols, proj in state.projectors:
+                    count = state.counts[cols].get(proj(row), 0)
                     penalty += Fraction(count, count + 1)
                 score -= hw * penalty
             if (
@@ -256,8 +242,9 @@ def _run_attempt(
                 best_score = score
                 best_row = row
         state.append(best_row)
-        remaining = sum(_deficiency_from_state(state, config.r_target).values())
-        trace.append((best_row, remaining))
+        defic = _deficiency_from_state(state, config.r_target)
+        trace.append((best_row, sum(defic.values())))
+    return state.rows, trace
 
 
 def construct_padding(

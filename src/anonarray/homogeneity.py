@@ -20,7 +20,7 @@ from .model import (
     AccessProfileArray,
     ColumnSet,
     Credential,
-    count_credentials,
+    _projector,
     enumerate_column_sets,
 )
 
@@ -55,8 +55,8 @@ def neighborhoods(array: AccessProfileArray, t: int) -> List[Neighborhood]:
     out: List[Neighborhood] = []
     for cols in enumerate_column_sets(array.k, t):
         groups: Dict[tuple, List[int]] = {}
-        for i, row in enumerate(array.rows):
-            groups.setdefault(tuple(row[c] for c in cols), []).append(i)
+        for i, values in enumerate(map(_projector(cols), array.rows)):
+            groups.setdefault(values, []).append(i)
         for values in sorted(groups):
             out.append(
                 Neighborhood(
@@ -106,29 +106,30 @@ def local_homogeneity(array: AccessProfileArray, t: int) -> HomogeneityReport:
     """Per-row homogeneity via the neighborhood accumulation shortcut.
 
     Each credential of row i with neighborhood size m contributes
-    (m - 1)/m; the sum is divided by the number of distinct neighbors.
+    (m - 1)/m; the sum is divided by the number of distinct neighbors,
+    counted from an int bitmask of the rows sharing any credential with i.
     Isolated rows receive the sentinel C(k, t) and are listed separately.
     """
     if not 1 <= t <= array.k:
         raise InvalidParameterError(f"t={t} out of range for k={array.k}")
     n = array.n_rows
     accum = [Fraction(0)] * n
-    neighbor_sets: List[set] = [set() for _ in range(n)]
+    masks = [0] * n
     for nb in neighborhoods(array, t):
         m = len(nb.members)
         share = Fraction(m - 1, m)
+        bits = sum(1 << i for i in nb.members)
         for i in nb.members:
             accum[i] += share
-            for j in nb.members:
-                if j != i:
-                    neighbor_sets[i].add(j)
+            masks[i] |= bits
 
     sentinel = Fraction(math.comb(array.k, t))
     local: List[Fraction] = []
     isolated = set()
     for i in range(n):
-        if neighbor_sets[i]:
-            local.append(accum[i] / len(neighbor_sets[i]))
+        degree = masks[i].bit_count() - 1
+        if degree:
+            local.append(accum[i] / degree)
         else:
             local.append(sentinel)
             isolated.add(i)

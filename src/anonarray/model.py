@@ -3,6 +3,10 @@
 Values are stored internally as integer indices into each attribute's
 domain; string labels exist only at the I/O boundary.  All types are
 immutable after construction and every operation here is a pure function.
+
+`_projector` is the one place that projects a row onto a column set;
+counting here, neighborhood grouping in `homogeneity` and the running
+counts in `construct` all key rows by its value tuples.
 """
 
 from __future__ import annotations
@@ -10,7 +14,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import InvalidParameterError
 
@@ -194,15 +199,23 @@ def enumerate_column_sets(k: int, t: int) -> Iterator[ColumnSet]:
     return itertools.combinations(range(k), t)
 
 
+def _projector(cols: ColumnSet) -> Callable[[Row], Row]:
+    """Row -> its value tuple on `cols`; a 1-tuple when there is one column."""
+    if len(cols) == 1:
+        (c,) = cols
+        return lambda row: (row[c],)
+    return itemgetter(*cols)
+
+
 def count_credentials(array: AccessProfileArray, column_set: Iterable[int]) -> CredentialCountTable:
     """One pass over the rows, counting each value tuple on the given columns."""
     cols = tuple(column_set)
+    if not cols:
+        raise InvalidParameterError("column set must be non-empty")
     for c in cols:
         if not 0 <= c < array.k:
             raise InvalidParameterError(f"column index {c} out of range")
-    counts: Counter = Counter()
-    for row in array.rows:
-        counts[tuple(row[c] for c in cols)] += 1
+    counts = Counter(map(_projector(cols), array.rows))
     return CredentialCountTable(column_set=cols, counts=dict(counts), total=array.n_rows)
 
 

@@ -76,17 +76,15 @@ def _hard_violations(
     return tuple(out)
 
 
-def compute_guarantee(
+def _scan(
     array: AccessProfileArray,
     t: int,
-    constraints: ConstraintSet = EMPTY_CONSTRAINTS,
-    allowed_column_sets: Optional[Sequence[ColumnSet]] = None,
-) -> GuaranteeReport:
-    """Largest r for which the array is (r, t)-anonymous; 0 on hard violation.
-
-    `allowed_column_sets` restricts the scan when policies may use only
-    some t-subsets of attributes; default is all C(k, t) subsets.
-    """
+    constraints: ConstraintSet,
+    allowed_column_sets: Optional[Sequence[ColumnSet]],
+    r_target: int,
+) -> Tuple[GuaranteeReport, List[Tuple[Optional[ColumnSet], Credential, int, str]]]:
+    """The guarantee report and every appearing credential short of
+    r_target (none when r_target is 0), from one pass over the counts."""
     _check_inputs(array, t, constraints)
     violations = _hard_violations(array, t, constraints)
 
@@ -100,41 +98,57 @@ def compute_guarantee(
 
     best: Optional[int] = None
     witness: Optional[Tuple[ColumnSet, Credential, int]] = None
+    short: List[Tuple[Optional[ColumnSet], Credential, int, str]] = []
     for cols in column_sets:
         table = count_credentials(array, cols)
         for values in sorted(table.counts):
             cred = Credential(tuple(zip(cols, values)))
-            if classify(cred, constraints) == DONT_CARE:
+            kind = classify(cred, constraints)
+            if kind == DONT_CARE:
                 continue
             count = table.counts[values]
             if best is None or count < best:
                 best = count
                 witness = (cols, cred, count)
+            if count < r_target:
+                short.append((cols, cred, count, kind))
 
-    soft_appearances = tuple(
-        (s, credential_count(array, s))
-        for s in sorted(constraints.soft)
-        if len(s) <= t and credential_count(array, s) > 0
-    )
+    soft_appearances = []
+    for s in sorted(constraints.soft):
+        if len(s) > t:
+            continue
+        count = credential_count(array, s)
+        if count > 0:
+            soft_appearances.append((s, count))
+            # size-t soft credentials were checked with their column set
+            if len(s) < t and count < r_target:
+                short.append((None, s, count, SOFT))
 
-    if violations:
-        return GuaranteeReport(
-            t=t,
-            r=0,
-            min_witness=witness,
-            hard_violations=violations,
-            soft_appearances=soft_appearances,
-        )
     # Every counted credential may be don't-care; the guarantee is then
     # vacuous and reported as N.
-    r = best if best is not None else array.n_rows
-    return GuaranteeReport(
+    r = 0 if violations else best if best is not None else array.n_rows
+    report = GuaranteeReport(
         t=t,
         r=r,
         min_witness=witness,
-        hard_violations=(),
-        soft_appearances=soft_appearances,
+        hard_violations=violations,
+        soft_appearances=tuple(soft_appearances),
     )
+    return report, short
+
+
+def compute_guarantee(
+    array: AccessProfileArray,
+    t: int,
+    constraints: ConstraintSet = EMPTY_CONSTRAINTS,
+    allowed_column_sets: Optional[Sequence[ColumnSet]] = None,
+) -> GuaranteeReport:
+    """Largest r for which the array is (r, t)-anonymous; 0 on hard violation.
+
+    `allowed_column_sets` restricts the scan when policies may use only
+    some t-subsets of attributes; default is all C(k, t) subsets.
+    """
+    return _scan(array, t, constraints, allowed_column_sets, 0)[0]
 
 
 def validate(
@@ -148,34 +162,13 @@ def validate(
 
     Soft constraints must appear zero times or at least r_target times;
     smaller-than-t soft credentials are checked by direct row containment.
+    The guarantee report comes from the same pass as the short list.
     """
     if r_target < 1:
         raise InvalidParameterError("r_target must be at least 1")
-    report = compute_guarantee(array, t, constraints, allowed_column_sets)
-
-    violations: List[Tuple[Optional[ColumnSet], Credential, int, str]] = []
-    if allowed_column_sets is None:
-        column_sets = list(enumerate_column_sets(array.k, t))
-    else:
-        column_sets = [tuple(sorted(cs)) for cs in allowed_column_sets]
-    for cols in column_sets:
-        table = count_credentials(array, cols)
-        for values in sorted(table.counts):
-            cred = Credential(tuple(zip(cols, values)))
-            kind = classify(cred, constraints)
-            if kind == DONT_CARE:
-                continue
-            count = table.counts[values]
-            if 0 < count < r_target:
-                violations.append((cols, cred, count, kind))
-    for s in sorted(constraints.soft):
-        if len(s) < t:
-            count = credential_count(array, s)
-            if 0 < count < r_target:
-                violations.append((None, s, count, SOFT))
-
-    ok = not report.hard_violations and not violations and report.r >= r_target
-    return ValidationResult(ok=ok, violations=tuple(violations), report=report)
+    report, short = _scan(array, t, constraints, allowed_column_sets, r_target)
+    ok = not report.hard_violations and not short and report.r >= r_target
+    return ValidationResult(ok=ok, violations=tuple(short), report=report)
 
 
 def is_anonymizing_for(

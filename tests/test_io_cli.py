@@ -351,6 +351,43 @@ class TestCliConstruct:
             outputs.append(out_file.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_json_summary_to_stderr_when_csv_on_stdout(self, capsys):
+        code, out, err = run(
+            capsys,
+            "construct",
+            FIXTURES / "university_schema.json",
+            FIXTURES / "array_a.csv",
+            FIXTURES / "university_constraints.json",
+            "--r",
+            "2",
+            "--t",
+            "2",
+            "--json",
+        )
+        assert code == 0
+        schema = load_schema(FIXTURES / "university_schema.json")
+        padded = parse_array(out, schema)
+        doc = json.loads(err)
+        assert doc["rows"] == padded.n_rows == 12
+
+
+class TestCliOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "university_schema.json", "array_a.csv", "--t", "1"],
+            ["construct", "university_schema.json", "-", "--r", "2", "--t", "1"],
+            ["constraints-derive", "university_schema.json",
+             "university_constraints.json", "--t", "1"],
+        ],
+    )
+    def test_threads_rejected(self, capsys, argv):
+        argv = [str(FIXTURES / a) if a.endswith((".json", ".csv")) else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
 
 class TestCliConstraintsDerive:
     def test_pair_block(self, capsys):

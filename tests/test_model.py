@@ -120,9 +120,16 @@ class TestCounting:
         table = count_credentials(arr, (0, 1))
         assert sum(table.counts.values()) == 3
 
+    def test_single_column_keys_are_1_tuples(self, array_a):
+        assert count_credentials(array_a, (1,)).counts == {(0,): 4, (1,): 2}
+
     def test_invalid_column(self, array_a):
         with pytest.raises(InvalidParameterError):
             count_credentials(array_a, (0, 9))
+
+    def test_empty_column_set(self, array_a):
+        with pytest.raises(InvalidParameterError):
+            count_credentials(array_a, ())
 
 
 class TestCredentialOfRow:
