@@ -117,3 +117,27 @@ def brute_force_short_credentials(array, r_target, t, constraints):
             if 0 < count < r_target:
                 out.append((None, s, count, SOFT))
     return out
+
+
+def brute_force_deficiency(rows, schema, constraints, r, t):
+    """The shortfall map of `construct.deficiency` over `rows`: every
+    size-t credential that is neither hard nor don't-care and appears
+    fewer than r times (an absent soft one is not short), then every soft
+    constraint smaller than t that appears fewer than r times.  Counts
+    come from scanning every row per credential."""
+    out = {}
+    for cols in combinations(range(schema.k), t):
+        for values in product(*(range(schema.sizes[c]) for c in cols)):
+            cred = Credential(tuple(zip(cols, values)))
+            kind = classify(cred, constraints)
+            if kind in (HARD, DONT_CARE):
+                continue
+            count = sum(1 for row in rows if cred.contained_in_row(row))
+            if count < r and not (kind == SOFT and count == 0):
+                out[(cols, cred)] = r - count
+    for s in constraints.soft:
+        if len(s) < t:
+            count = sum(1 for row in rows if s.contained_in_row(row))
+            if 0 < count < r:
+                out[(s.attributes, s)] = r - count
+    return out

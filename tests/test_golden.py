@@ -84,6 +84,16 @@ def cases():
                             "--seed", str(seed), "--homogeneity-weight", w,
                             "--json", "-o", "OUT",
                         ]
+    # the shape of the benchmark's padding run: k=8, v=3, t=3 with hard,
+    # soft (sizes 2 and 3) and don't-care constraints
+    for w in ("0", "0.5"):
+        for restarts in ("0", None):
+            argv = ["construct", "pad8_schema.json", "pad8_base.csv",
+                    "pad8_constraints.json", "--r", "2", "--t", "3",
+                    "--homogeneity-weight", w, "--json", "-o", "OUT"]
+            if restarts is not None:
+                argv += ["--restarts", restarts]
+            out["construct"][f"pad8/r2/t3/w{w}/restarts{restarts or 'default'}"] = argv
     return out
 
 

@@ -1,8 +1,9 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from anonarray import (
@@ -11,8 +12,10 @@ from anonarray import (
     AttributeSchema,
     ConstraintSet,
     Credential,
+    check_feasibility,
     classify,
     compute_guarantee,
+    deficiency,
     derive_implicit_hard,
     global_homogeneity,
     local_homogeneity,
@@ -21,6 +24,7 @@ from anonarray import (
 from anonarray.constraints import HARD
 
 from oracles import (
+    brute_force_deficiency,
     brute_force_guarantee,
     brute_force_infeasible_credentials,
     brute_force_local_homogeneity,
@@ -186,3 +190,50 @@ def test_derived_implicit_constraints_are_sound(case):
     )
     for c in derived:
         assert c in infeasible
+
+
+@st.composite
+def padding_cases(draw):
+    """A small schema, t >= 2, hard constraints, soft constraints of size
+    below t and of size t, don't-care constraints, r, and a sequence of
+    rows that avoid every hard constraint."""
+    schema = draw(schemas(max_k=5, max_v=3))
+    t = draw(st.integers(2, schema.k))
+
+    def credential(size):
+        cols = draw(
+            st.lists(
+                st.integers(0, schema.k - 1), min_size=size, max_size=size, unique=True
+            )
+        )
+        return Credential(
+            tuple((c, draw(st.integers(0, schema.sizes[c] - 1))) for c in cols)
+        )
+
+    hard = {credential(draw(st.integers(2, t))) for _ in range(draw(st.integers(0, 2)))}
+    soft = {credential(draw(st.integers(1, t - 1))) for _ in range(draw(st.integers(0, 2)))}
+    soft |= {credential(t) for _ in range(draw(st.integers(0, 2)))}
+    dont_care = {credential(draw(st.integers(1, t))) for _ in range(draw(st.integers(0, 2)))}
+    soft -= hard
+    dont_care -= hard | soft
+    constraints = ConstraintSet(hard=hard, soft=soft, dont_care=dont_care)
+    assume(check_feasibility(schema, constraints, t).feasible)
+    legal = [
+        row
+        for row in itertools.product(*(range(v) for v in schema.sizes))
+        if not any(h.contained_in_row(row) for h in hard)
+    ]
+    assume(legal)
+    rows = draw(st.lists(st.sampled_from(legal), min_size=1, max_size=12))
+    return schema, t, draw(st.integers(1, 4)), constraints, rows
+
+
+@given(padding_cases())
+@settings(max_examples=100, deadline=None)
+def test_deficiency_matches_brute_force_as_rows_are_appended(case):
+    schema, t, r, constraints, rows = case
+    for n in range(1, len(rows) + 1):
+        array = AccessProfileArray(schema, rows[:n])
+        assert deficiency(array, r, t, constraints) == brute_force_deficiency(
+            rows[:n], schema, constraints, r, t
+        )
