@@ -2,24 +2,28 @@
 
 Appends rows to a base array until every deficient credential reaches the
 target count, drawing each row from a seeded candidate pool and scoring
-candidates by how much shortfall they remove, optionally penalized by the
-closeness they would add to existing rows.  Restarts run with independent
-seed-derived streams and the fewest-rows result wins.
+candidates by how many deficient credentials they contain, optionally
+penalized by the closeness they would add to existing rows.  Restarts run
+with independent seed-derived streams and the fewest-rows result wins.
+
+Credential kinds are resolved once per call; each attempt then keeps the
+shortfall per column set incrementally (see `_State`).
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left, insort
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .constraints import (
     DONT_CARE,
     HARD,
-    UNCONSTRAINED,
+    SOFT,
     ConstraintSet,
     check_feasibility,
     classify,
@@ -34,11 +38,13 @@ from .model import (
     _projector,
     enumerate_column_sets,
 )
-from .verify import GuaranteeReport, compute_guarantee, validate
+from .verify import GuaranteeReport, compute_guarantee
 
 _SEED_STRIDE = 0x9E3779B97F4A7C15
 
 DeficiencyMap = Dict[Tuple[ColumnSet, Credential], int]
+# (column set, {value tuple: kind}) for the value tuples that may need rows
+Kinds = List[Tuple[ColumnSet, Dict[Row, str]]]
 
 
 @dataclass(frozen=True)
@@ -78,67 +84,109 @@ class ConstructionResult:
         return self.array.n_rows == self.lower_bound
 
 
-class _State:
-    """Mutable per-attempt counts over the growing row list."""
+def _classify_once(schema, constraints: ConstraintSet, t: int) -> Kinds:
+    """Every size-t column set with the kind of each of its value tuples
+    that is neither hard nor don't-care, then the attribute sets of the
+    soft constraints smaller than t with their value tuples."""
+    kinds: Kinds = []
+    for cols in enumerate_column_sets(schema.k, t):
+        on_cols = {}
+        for values in itertools.product(*(range(schema.sizes[c]) for c in cols)):
+            kind = classify(Credential(tuple(zip(cols, values))), constraints)
+            if kind not in (HARD, DONT_CARE):
+                on_cols[values] = kind
+        kinds.append((cols, on_cols))
+    small: Dict[ColumnSet, Dict[Row, str]] = {}
+    for s in constraints.soft:
+        if len(s) < t:
+            small.setdefault(s.attributes, {})[tuple(v for _, v in s.pairs)] = SOFT
+    return kinds + sorted(small.items())
 
-    def __init__(self, schema, constraints: ConstraintSet, t: int, rows: List[Row]):
-        self.rows = list(rows)
-        self.projectors = [
-            (cols, _projector(cols)) for cols in enumerate_column_sets(schema.k, t)
+
+class _State:
+    """Counts and shortfalls of one attempt, updated row by row.
+
+    A credential is deficient while it appears fewer than r_target times,
+    unless it is soft and absent.  Per column set of `kinds` this keeps the
+    count of every value tuple and the shortfall of the deficient ones;
+    `targets` holds their sorted (column set, value tuple) keys and `total`
+    the sum of their shortfalls.  Appending a row touches only its own
+    value tuples, and scoring a candidate takes one lookup per column set.
+    """
+
+    def __init__(self, kinds: Kinds, constraints, t: int, r_target: int, rows):
+        self.r_target = r_target
+        self.rows: List[Row] = []
+        self.columns, self.kinds = zip(*kinds)
+        self.projectors = [_projector(cols) for cols in self.columns]
+        self.counts = [Counter() for _ in self.columns]
+        # with no rows yet, every credential but the soft ones is short by r
+        self.shortfalls = [
+            {values: r_target for values, kind in on_cols.items() if kind != SOFT}
+            for on_cols in self.kinds
         ]
-        self.counts: Dict[ColumnSet, Counter] = {
-            cols: Counter(map(proj, self.rows)) for cols, proj in self.projectors
-        }
-        # Kinds never change as rows are appended, so every size-t
-        # credential that may need rows is classified once here.
-        self.needs: List[Tuple[ColumnSet, Row, Credential, str]] = []
-        for cols, _ in self.projectors:
-            for values in itertools.product(*(range(schema.sizes[c]) for c in cols)):
-                cred = Credential(tuple(zip(cols, values)))
-                kind = classify(cred, constraints)
-                if kind not in (HARD, DONT_CARE):
-                    self.needs.append((cols, values, cred, kind))
+        self.total = r_target * sum(map(len, self.shortfalls))
+        keyed = zip(self.columns, self.shortfalls)
+        self.targets = sorted((cols, v) for cols, short in keyed for v in short)
+        self.n_full = sum(len(cols) == t for cols in self.columns)
+        counts_on = dict(zip(self.columns, self.counts))
         # oversized soft credentials are inert for this t
-        self.soft = sorted(s for s in constraints.soft if len(s) <= t)
-        self.soft_counts: Counter = Counter(
-            s for row in self.rows for s in self.soft if s.contained_in_row(row)
-        )
+        self.soft = [
+            (s, counts_on[s.attributes], tuple(v for _, v in s.pairs))
+            for s in sorted(constraints.soft)
+            if len(s) <= t
+        ]
+        for row in rows:
+            self.append(row)
 
     def append(self, row: Row) -> None:
         self.rows.append(row)
-        for cols, proj in self.projectors:
-            self.counts[cols][proj(row)] += 1
-        for s in self.soft:
-            if s.contained_in_row(row):
-                self.soft_counts[s] += 1
+        r = self.r_target
+        for cols, proj, counts, on_cols, short in zip(
+            self.columns, self.projectors, self.counts, self.kinds, self.shortfalls
+        ):
+            values = proj(row)
+            count = counts[values] = counts[values] + 1
+            if count > r or values not in on_cols:
+                continue
+            before = short.pop(values, 0)
+            after = r - count
+            self.total += after - before
+            if after:
+                short[values] = after
+                if not before:
+                    insort(self.targets, (cols, values))
+            elif before:
+                del self.targets[bisect_left(self.targets, (cols, values))]
+
+    def score(self, row: Row, hw: Fraction):
+        """How many deficient credentials the row contains, less hw times the
+        sum over the size-t column sets (listed first) of c / (c + 1), where c
+        rows already share its value tuple there; exact, one term per c."""
+        values = [proj(row) for proj in self.projectors]
+        matched = sum(map(dict.__contains__, self.shortfalls, values))
+        if not hw:
+            return matched
+        hist = Counter(map(Counter.__getitem__, self.counts[: self.n_full], values))
+        num, den = 0, 1
+        for c, m in hist.items():
+            num, den = num * (c + 1) + c * m * den, den * (c + 1)
+        return matched - hw * Fraction(num, den)
 
     def soft_zero(self) -> List[Credential]:
         """Soft credentials currently absent from every row."""
-        return [s for s in self.soft if not self.soft_counts[s]]
+        return [s for s, counts, values in self.soft if not counts[values]]
 
-
-def _deficiency_from_state(state: _State, r_target: int) -> DeficiencyMap:
-    out: DeficiencyMap = {}
-    for cols, values, cred, kind in state.needs:
-        count = state.counts[cols].get(values, 0)
-        if count == 0:
-            if kind == UNCONSTRAINED:
-                out[(cols, cred)] = r_target
-        elif count < r_target:
-            out[(cols, cred)] = r_target - count
-    # a size-t soft credential rewrites its own entry from the needs above
-    for s in state.soft:
-        count = state.soft_counts[s]
-        if 0 < count < r_target:
-            out[(s.attributes, s)] = r_target - count
-    return out
+    def deficiency(self) -> DeficiencyMap:
+        short = dict(zip(self.columns, self.shortfalls))
+        return {
+            (cols, Credential(tuple(zip(cols, values)))): short[cols][values]
+            for cols, values in self.targets
+        }
 
 
 def deficiency(
-    array: AccessProfileArray,
-    r_target: int,
-    t: int,
-    constraints: ConstraintSet,
+    array: AccessProfileArray, r_target: int, t: int, constraints: ConstraintSet
 ) -> DeficiencyMap:
     """Shortfall of every credential that must still reach r_target.
 
@@ -149,8 +197,8 @@ def deficiency(
     feasibility = check_feasibility(array.schema, constraints, t)
     if not feasibility.feasible:
         raise InfeasibleError(feasibility)
-    state = _State(array.schema, constraints, t, list(array.rows))
-    return _deficiency_from_state(state, r_target)
+    kinds = _classify_once(array.schema, constraints, t)
+    return _State(kinds, constraints, t, r_target, list(array.rows)).deficiency()
 
 
 def _violates_hard(row: Row, constraints: ConstraintSet) -> bool:
@@ -167,7 +215,6 @@ def _fill_row(
     """A full row honoring the fixed cells and avoiding hard constraints,
     preferring rows that introduce no currently-absent soft credential."""
     sizes = schema.sizes
-    free = [c for c in range(schema.k) if c not in fixed]
 
     def sample() -> Row:
         return tuple(
@@ -175,75 +222,49 @@ def _fill_row(
             for c in range(schema.k)
         )
 
-    for _ in range(60):
+    # 60 draws that also avoid soft_zero, then 60 that need not
+    for attempt in range(120):
         row = sample()
         if _violates_hard(row, constraints):
             continue
-        if any(s.contained_in_row(row) for s in soft_zero):
+        if attempt < 60 and any(s.contained_in_row(row) for s in soft_zero):
             continue
         return row
-    for _ in range(60):
-        row = sample()
-        if not _violates_hard(row, constraints):
-            return row
     # deterministic fallback: exhaustive scan over the free cells
-    for combo in itertools.product(*(range(sizes[c]) for c in free)):
-        cells = dict(zip(free, combo))
-        cells.update(fixed)
-        row = tuple(cells[c] for c in range(schema.k))
-        if not _violates_hard(row, constraints):
-            return row
-    return None
+    domains = [(fixed[c],) if c in fixed else range(sizes[c]) for c in range(schema.k)]
+    rows = itertools.product(*domains)
+    return next((row for row in rows if not _violates_hard(row, constraints)), None)
 
 
 def _run_attempt(
     schema,
     base_rows: List[Row],
     constraints: ConstraintSet,
+    kinds: Kinds,
     config: ConstructionConfig,
     rng: random.Random,
 ) -> Tuple[List[Row], List[Tuple[Row, int]]]:
-    state = _State(schema, constraints, config.t, base_rows)
+    state = _State(kinds, constraints, config.t, config.r_target, base_rows)
     trace: List[Tuple[Row, int]] = []
     hw = config.homogeneity_weight
-    defic = _deficiency_from_state(state, config.r_target)
-    while defic:
-        if config.max_rows is not None and len(state.rows) >= config.max_rows:
-            raise BudgetExceededError(partial_rows=list(state.rows), remaining=defic)
-        targets = sorted(defic)
-        soft_zero = state.soft_zero()
+    while state.targets:
         candidates: Dict[Row, None] = {}
-        for _ in range(config.candidates_per_row):
-            cols, cred = targets[rng.randrange(len(targets))]
-            row = _fill_row(schema, dict(cred.pairs), constraints, soft_zero, rng)
-            if row is not None:
-                candidates[row] = None
+        if config.max_rows is None or len(state.rows) < config.max_rows:
+            soft_zero = state.soft_zero()
+            for _ in range(config.candidates_per_row):
+                cols, values = state.targets[rng.randrange(len(state.targets))]
+                fixed = dict(zip(cols, values))
+                row = _fill_row(schema, fixed, constraints, soft_zero, rng)
+                if row is not None:
+                    candidates[row] = None
         if not candidates:
-            raise BudgetExceededError(partial_rows=list(state.rows), remaining=defic)
-
-        best_row: Optional[Row] = None
-        best_score: Optional[Fraction] = None
-        for row in candidates:
-            matched = sum(
-                1 for (_, cred) in defic if cred.contained_in_row(row)
+            raise BudgetExceededError(
+                partial_rows=list(state.rows), remaining=state.deficiency()
             )
-            score = Fraction(matched)
-            if hw:
-                penalty = Fraction(0)
-                for cols, proj in state.projectors:
-                    count = state.counts[cols].get(proj(row), 0)
-                    penalty += Fraction(count, count + 1)
-                score -= hw * penalty
-            if (
-                best_score is None
-                or score > best_score
-                or (score == best_score and row < best_row)
-            ):
-                best_score = score
-                best_row = row
+        # the highest score wins, and the smallest row among equals
+        best_row = min(candidates, key=lambda row: (-state.score(row, hw), row))
         state.append(best_row)
-        defic = _deficiency_from_state(state, config.r_target)
-        trace.append((best_row, sum(defic.values())))
+        trace.append((best_row, state.total))
     return state.rows, trace
 
 
@@ -278,24 +299,20 @@ def construct_padding(
     if config.max_rows is not None and config.max_rows < len(base_rows):
         raise InvalidParameterError("max_rows is smaller than the base array")
 
-    best: Optional[Tuple[List[Row], List[Tuple[Row, int]]]] = None
-    first_error: Optional[BudgetExceededError] = None
+    kinds = _classify_once(schema, constraints, config.t)
+    results, errors = [], []
     for attempt in range(config.restarts + 1):
         rng = random.Random((config.seed + attempt * _SEED_STRIDE) % 2**64)
         try:
-            rows, trace = _run_attempt(schema, base_rows, constraints, config, rng)
+            results.append(
+                _run_attempt(schema, base_rows, constraints, kinds, config, rng)
+            )
         except BudgetExceededError as exc:
-            if first_error is None or sum(exc.remaining.values()) < sum(
-                first_error.remaining.values()
-            ):
-                first_error = exc
-            continue
-        if best is None or (len(rows), tuple(rows)) < (len(best[0]), tuple(best[0])):
-            best = (rows, trace)
-    if best is None:
-        raise first_error
-
-    rows, trace = best
+            errors.append(exc)
+    # fewest rows, then the smallest rows; the first attempt among equals
+    if not results:
+        raise min(errors, key=lambda exc: sum(exc.remaining.values()))
+    rows, trace = min(results, key=lambda result: (len(result[0]), result[0]))
     array = AccessProfileArray(schema=schema, rows=tuple(rows))
     achieved = compute_guarantee(array, config.t, constraints)
     return ConstructionResult(

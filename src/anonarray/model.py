@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -60,7 +61,7 @@ class AttributeSchema:
     def k(self) -> int:
         return len(self.attributes)
 
-    @property
+    @cached_property
     def sizes(self) -> Tuple[int, ...]:
         return tuple(len(a.values) for a in self.attributes)
 

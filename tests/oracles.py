@@ -141,3 +141,13 @@ def brute_force_deficiency(rows, schema, constraints, r, t):
             if 0 < count < r:
                 out[(s.attributes, s)] = r - count
     return out
+
+
+def brute_force_closeness_penalty(rows, row, t):
+    """Sum over every size-t column set of c / (c + 1), where c of `rows`
+    agree with `row` on that column set."""
+    total = Fraction(0)
+    for cols in combinations(range(len(row)), t):
+        c = sum(1 for other in rows if all(other[a] == row[a] for a in cols))
+        total += Fraction(c, c + 1)
+    return total

@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import anonarray.construct as construct_mod
 from anonarray import (
     AccessProfileArray,
     BudgetExceededError,
@@ -11,6 +13,7 @@ from anonarray import (
     Credential,
     InfeasibleError,
     InvalidParameterError,
+    classify,
     compute_guarantee,
     construct_padding,
     deficiency,
@@ -160,6 +163,21 @@ class TestConstructPadding:
             greedy.append(global_homogeneity(plain.array, 2))
             aware.append(global_homogeneity(weighted.array, 2))
         assert sum(aware) / len(aware) <= sum(greedy) / len(greedy)
+
+    def test_kinds_classified_once_per_call_not_per_attempt(
+        self, binary3_schema, monkeypatch
+    ):
+        calls = []
+
+        def counting_classify(credential, constraints):
+            calls.append(credential)
+            return classify(credential, constraints)
+
+        monkeypatch.setattr(construct_mod, "classify", counting_classify)
+        config = ConstructionConfig(r_target=2, t=2, seed=0, restarts=3)
+        construct_padding(None, ConstraintSet(), config, schema=binary3_schema)
+        # every size-t credential once: C(k, t) * v^t
+        assert len(calls) <= math.comb(3, 2) * 2**2
 
 
 class TestSuggestCredentialSize:

@@ -22,8 +22,10 @@ from anonarray import (
     validate,
 )
 from anonarray.constraints import HARD
+from anonarray.construct import _classify_once, _State
 
 from oracles import (
+    brute_force_closeness_penalty,
     brute_force_deficiency,
     brute_force_guarantee,
     brute_force_infeasible_credentials,
@@ -225,15 +227,28 @@ def padding_cases(draw):
     ]
     assume(legal)
     rows = draw(st.lists(st.sampled_from(legal), min_size=1, max_size=12))
-    return schema, t, draw(st.integers(1, 4)), constraints, rows
+    candidates = draw(st.lists(st.sampled_from(legal), min_size=1, max_size=4))
+    return schema, t, draw(st.integers(1, 4)), constraints, rows, candidates
 
 
-@given(padding_cases())
+@given(padding_cases(), st.fractions(0, 1))
 @settings(max_examples=100, deadline=None)
-def test_deficiency_matches_brute_force_as_rows_are_appended(case):
-    schema, t, r, constraints, rows = case
-    for n in range(1, len(rows) + 1):
-        array = AccessProfileArray(schema, rows[:n])
-        assert deficiency(array, r, t, constraints) == brute_force_deficiency(
-            rows[:n], schema, constraints, r, t
+def test_incremental_shortfall_matches_brute_force(case, weight):
+    schema, t, r, constraints, rows, candidates = case
+    state = _State(_classify_once(schema, constraints, t), constraints, t, r, [])
+    for n, row in enumerate(rows, start=1):
+        state.append(row)
+        expected = brute_force_deficiency(rows[:n], schema, constraints, r, t)
+        assert state.deficiency() == expected
+        assert state.total == sum(expected.values())
+        assert state.targets == sorted(
+            (cols, tuple(v for _, v in cred.pairs)) for cols, cred in expected
         )
+        for cand in candidates:
+            matched = sum(1 for _, cred in expected if cred.contained_in_row(cand))
+            assert state.score(cand, Fraction(0)) == matched
+            assert state.score(cand, weight) == matched - weight * (
+                brute_force_closeness_penalty(rows[:n], cand, t)
+            )
+    array = AccessProfileArray(schema, rows)
+    assert deficiency(array, r, t, constraints) == expected
