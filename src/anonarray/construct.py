@@ -277,7 +277,9 @@ def construct_padding(
     """Greedy padding of `base` to an (r_target, t)-anonymous array.
 
     `base` may be None to construct from scratch; pass the schema then.
-    The base rows are preserved as an unmodified prefix.
+    The base rows are preserved as an unmodified prefix.  When the base
+    has row labels they are kept, and padding rows are labelled pad-1,
+    pad-2, and so on.
     """
     if base is None:
         if schema is None:
@@ -313,7 +315,11 @@ def construct_padding(
     if not results:
         raise min(errors, key=lambda exc: sum(exc.remaining.values()))
     rows, trace = min(results, key=lambda result: (len(result[0]), result[0]))
-    array = AccessProfileArray(schema=schema, rows=tuple(rows))
+    labels = None
+    if base is not None and base.row_labels is not None:
+        padding = range(1, len(rows) - len(base_rows) + 1)
+        labels = base.row_labels + tuple(f"pad-{i}" for i in padding)
+    array = AccessProfileArray(schema=schema, rows=tuple(rows), row_labels=labels)
     achieved = compute_guarantee(array, config.t, constraints)
     return ConstructionResult(
         array=array,

@@ -164,6 +164,20 @@ class TestConstructPadding:
             aware.append(global_homogeneity(weighted.array, 2))
         assert sum(aware) / len(aware) <= sum(greedy) / len(greedy)
 
+    def test_row_labels_kept_and_padding_labelled(self, array_a, university_constraints):
+        labelled = AccessProfileArray(
+            array_a.schema, array_a.rows, row_labels=tuple("abcdef")
+        )
+        config = ConstructionConfig(r_target=2, t=2, seed=0)
+        result = construct_padding(labelled, university_constraints, config)
+        assert result.array.row_labels == tuple("abcdef") + tuple(
+            f"pad-{i}" for i in range(1, result.padding_count + 1)
+        )
+        # unlabelled input gives unlabelled output
+        plain = construct_padding(array_a, university_constraints, config)
+        assert plain.array.row_labels is None
+        assert plain.array.rows == result.array.rows
+
     def test_kinds_classified_once_per_call_not_per_attempt(
         self, binary3_schema, monkeypatch
     ):

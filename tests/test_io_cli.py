@@ -277,6 +277,47 @@ class TestCliConstruct:
         padded = load_array(out_file, schema)
         assert padded.n_rows == 12
 
+    def test_row_labels_round_trip(self, capsys, tmp_path):
+        out_file = tmp_path / "padded.csv"
+        code, _, _ = run(
+            capsys,
+            "construct",
+            FIXTURES / "university_schema.json",
+            FIXTURES / "array_a.csv",
+            FIXTURES / "university_constraints.json",
+            "--r",
+            "2",
+            "--t",
+            "2",
+            "-o",
+            out_file,
+        )
+        assert code == 0
+        text = out_file.read_text(encoding="utf-8")
+        assert text.splitlines()[0] == "id,Role,Job,Department,Semester"
+        schema = load_schema(FIXTURES / "university_schema.json")
+        base = load_array(FIXTURES / "array_a.csv", schema)
+        padded = load_array(out_file, schema)
+        assert padded.rows[: base.n_rows] == base.rows
+        assert padded.row_labels == base.row_labels + tuple(
+            f"pad-{i}" for i in range(1, padded.n_rows - base.n_rows + 1)
+        )
+        assert serialize_array(padded) == text
+        # from scratch there are no labels to keep
+        code, out, _ = run(
+            capsys,
+            "construct",
+            FIXTURES / "university_schema.json",
+            "-",
+            FIXTURES / "university_constraints.json",
+            "--r",
+            "2",
+            "--t",
+            "2",
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "Role,Job,Department,Semester"
+
     def test_infeasible_exit_5(self, capsys):
         code, _, err = run(
             capsys,
