@@ -196,7 +196,7 @@ def deficiency(
     """
     feasibility = check_feasibility(array.schema, constraints, t)
     if not feasibility.feasible:
-        raise InfeasibleError(feasibility)
+        raise InfeasibleError(feasibility, array.schema)
     kinds = _classify_once(array.schema, constraints, t)
     return _State(kinds, constraints, t, r_target, list(array.rows)).deficiency()
 
@@ -291,7 +291,7 @@ def construct_padding(
 
     feasibility = check_feasibility(schema, constraints, config.t)
     if not feasibility.feasible:
-        raise InfeasibleError(feasibility)
+        raise InfeasibleError(feasibility, schema)
     if base is not None:
         pre = compute_guarantee(base, config.t, constraints)
         if pre.hard_violations:

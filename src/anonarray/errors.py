@@ -31,13 +31,22 @@ class ParseError(AnonArrayError):
 
 
 class InfeasibleError(AnonArrayError):
-    """The constraint system admits no solution; carries the report."""
+    """The constraint system admits no solution; carries the report.
 
-    def __init__(self, report):
+    The message names every witness credential, rendered with the schema,
+    and gives each distinct reason once after the credentials it covers.
+    """
+
+    def __init__(self, report, schema):
         self.report = report
+        by_reason = {}
+        for cred, reason in report.witnesses:
+            by_reason.setdefault(reason, []).append(cred.render(schema))
         super().__init__(
             "constraint system is infeasible: "
-            + "; ".join(reason for _, reason in report.witnesses)
+            + "; ".join(
+                f"{', '.join(creds)}: {reason}" for reason, creds in by_reason.items()
+            )
         )
 
 

@@ -24,7 +24,9 @@ from anonarray import (
     validate,
 )
 
-from conftest import cred
+from anonarray.io import load_constraints
+
+from conftest import FIXTURES, cred
 
 
 class TestConfig:
@@ -65,6 +67,20 @@ class TestDeficiency:
         with pytest.raises(InfeasibleError) as exc:
             deficiency(arr, 2, 2, pair_block_constraints)
         assert exc.value.report.witnesses
+
+    def test_infeasible_message_names_each_credential(self, binary3_schema):
+        constraints, _ = load_constraints(
+            FIXTURES / "pair_block_constraints.json", binary3_schema
+        )
+        config = ConstructionConfig(r_target=2, t=2)
+        with pytest.raises(InfeasibleError) as exc:
+            construct_padding(None, constraints, config, schema=binary3_schema)
+        # both witnesses share one reason, which is given once
+        assert str(exc.value) == (
+            "constraint system is infeasible: {(a1, 0), (a3, 0)}, {(a1, 0), (a3, 1)}: "
+            "unconstrained credential is unrealizable: every row containing it "
+            "violates a hard constraint (implied by {(a1, 0)})"
+        )
 
 
 class TestConstructPadding:
