@@ -23,8 +23,8 @@ their counts from their size-t extensions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, Iterable, List, Tuple
 
 from .errors import InvalidParameterError
 from .model import AttributeSchema, Credential, enumerate_column_sets

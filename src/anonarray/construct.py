@@ -186,7 +186,10 @@ class _State:
 
 
 def deficiency(
-    array: AccessProfileArray, r_target: int, t: int, constraints: ConstraintSet
+    array: AccessProfileArray,
+    r_target: int,
+    t: int,
+    constraints: ConstraintSet,
 ) -> DeficiencyMap:
     """Shortfall of every credential that must still reach r_target.
 
@@ -215,6 +218,7 @@ def _fill_row(
     """A full row honoring the fixed cells and avoiding hard constraints,
     preferring rows that introduce no currently-absent soft credential."""
     sizes = schema.sizes
+    free = [c for c in range(schema.k) if c not in fixed]
 
     def sample() -> Row:
         return tuple(
@@ -222,18 +226,25 @@ def _fill_row(
             for c in range(schema.k)
         )
 
-    # 60 draws that also avoid soft_zero, then 60 that need not
-    for attempt in range(120):
+    for _ in range(60):
         row = sample()
         if _violates_hard(row, constraints):
             continue
-        if attempt < 60 and any(s.contained_in_row(row) for s in soft_zero):
+        if any(s.contained_in_row(row) for s in soft_zero):
             continue
         return row
+    for _ in range(60):
+        row = sample()
+        if not _violates_hard(row, constraints):
+            return row
     # deterministic fallback: exhaustive scan over the free cells
-    domains = [(fixed[c],) if c in fixed else range(sizes[c]) for c in range(schema.k)]
-    rows = itertools.product(*domains)
-    return next((row for row in rows if not _violates_hard(row, constraints)), None)
+    for combo in itertools.product(*(range(sizes[c]) for c in free)):
+        cells = dict(zip(free, combo))
+        cells.update(fixed)
+        row = tuple(cells[c] for c in range(schema.k))
+        if not _violates_hard(row, constraints):
+            return row
+    return None
 
 
 def _run_attempt(
@@ -311,9 +322,9 @@ def construct_padding(
             )
         except BudgetExceededError as exc:
             errors.append(exc)
-    # fewest rows, then the smallest rows; the first attempt among equals
     if not results:
         raise min(errors, key=lambda exc: sum(exc.remaining.values()))
+    # fewest rows, then the smallest rows; the first attempt among equals
     rows, trace = min(results, key=lambda result: (len(result[0]), result[0]))
     labels = None
     if base is not None and base.row_labels is not None:
