@@ -84,7 +84,7 @@ class ConstructionResult:
         return self.array.n_rows == self.lower_bound
 
 
-def _classify_once(schema, constraints: ConstraintSet, t: int) -> Kinds:
+def _credential_kinds(schema, constraints: ConstraintSet, t: int) -> Kinds:
     """Every size-t column set with the kind of each of its value tuples
     that is neither hard nor don't-care, then the attribute sets of the
     soft constraints smaller than t with their value tuples."""
@@ -200,7 +200,7 @@ def deficiency(
     feasibility = check_feasibility(array.schema, constraints, t)
     if not feasibility.feasible:
         raise InfeasibleError(feasibility, array.schema)
-    kinds = _classify_once(array.schema, constraints, t)
+    kinds = _credential_kinds(array.schema, constraints, t)
     return _State(kinds, constraints, t, r_target, list(array.rows)).deficiency()
 
 
@@ -312,7 +312,7 @@ def construct_padding(
     if config.max_rows is not None and config.max_rows < len(base_rows):
         raise InvalidParameterError("max_rows is smaller than the base array")
 
-    kinds = _classify_once(schema, constraints, config.t)
+    kinds = _credential_kinds(schema, constraints, config.t)
     results, errors = [], []
     for attempt in range(config.restarts + 1):
         rng = random.Random((config.seed + attempt * _SEED_STRIDE) % 2**64)

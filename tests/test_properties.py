@@ -22,7 +22,7 @@ from anonarray import (
     validate,
 )
 from anonarray.constraints import HARD
-from anonarray.construct import _classify_once, _State
+from anonarray.construct import _credential_kinds, _State
 
 from oracles import (
     brute_force_closeness_penalty,
@@ -235,7 +235,7 @@ def padding_cases(draw):
 @settings(max_examples=100, deadline=None)
 def test_incremental_shortfall_matches_brute_force(case, weight):
     schema, t, r, constraints, rows, candidates = case
-    state = _State(_classify_once(schema, constraints, t), constraints, t, r, [])
+    state = _State(_credential_kinds(schema, constraints, t), constraints, t, r, [])
     for n, row in enumerate(rows, start=1):
         state.append(row)
         expected = brute_force_deficiency(rows[:n], schema, constraints, r, t)
