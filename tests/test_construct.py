@@ -23,7 +23,6 @@ from anonarray import (
     suggest_credential_size,
     validate,
 )
-
 from anonarray.io import load_constraints
 
 from conftest import FIXTURES, cred
@@ -180,7 +179,9 @@ class TestConstructPadding:
             aware.append(global_homogeneity(weighted.array, 2))
         assert sum(aware) / len(aware) <= sum(greedy) / len(greedy)
 
-    def test_row_labels_kept_and_padding_labelled(self, array_a, university_constraints):
+    def test_row_labels_kept_and_padding_labelled(
+        self, array_a, university_constraints
+    ):
         labelled = AccessProfileArray(
             array_a.schema, array_a.rows, row_labels=tuple("abcdef")
         )

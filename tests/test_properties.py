@@ -197,8 +197,8 @@ def test_derived_implicit_constraints_are_sound(case):
 @st.composite
 def padding_cases(draw):
     """A small schema, t >= 2, hard constraints, soft constraints of size
-    below t and of size t, don't-care constraints, r, and a sequence of
-    rows that avoid every hard constraint."""
+    below t and of size t, don't-care constraints, r, a sequence of rows
+    that avoid every hard constraint, and a few candidate rows."""
     schema = draw(schemas(max_k=5, max_v=3))
     t = draw(st.integers(2, schema.k))
 
@@ -212,10 +212,14 @@ def padding_cases(draw):
             tuple((c, draw(st.integers(0, schema.sizes[c] - 1))) for c in cols)
         )
 
-    hard = {credential(draw(st.integers(2, t))) for _ in range(draw(st.integers(0, 2)))}
-    soft = {credential(draw(st.integers(1, t - 1))) for _ in range(draw(st.integers(0, 2)))}
-    soft |= {credential(t) for _ in range(draw(st.integers(0, 2)))}
-    dont_care = {credential(draw(st.integers(1, t))) for _ in range(draw(st.integers(0, 2)))}
+    def some(low, high):
+        """Up to two credentials of sizes low..high."""
+        n = draw(st.integers(0, 2))
+        return {credential(draw(st.integers(low, high))) for _ in range(n)}
+
+    hard = some(2, t)
+    soft = some(1, t - 1) | some(t, t)
+    dont_care = some(1, t)
     soft -= hard
     dont_care -= hard | soft
     constraints = ConstraintSet(hard=hard, soft=soft, dont_care=dont_care)
