@@ -30,6 +30,7 @@ from .errors import (
     InfeasibleError,
     InvalidParameterError,
     ParseError,
+    SearchBudgetError,
 )
 from .homogeneity import (
     HomogeneityReport,
@@ -83,6 +84,7 @@ __all__ = [
     "InvalidParameterError",
     "Neighborhood",
     "ParseError",
+    "SearchBudgetError",
     "ValidationResult",
     "anonymity_profile",
     "check_feasibility",

@@ -214,9 +214,7 @@ def cmd_construct(args) -> int:
     try:
         result = construct_mod.construct_padding(base, constraints, config, schema=schema)
     except InfeasibleError as exc:
-        print("infeasible constraint system:", file=sys.stderr)
-        for cred, reason in exc.report.witnesses:
-            print(f"  {cred.render(schema)}: {reason}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except BudgetExceededError as exc:
         print(str(exc), file=sys.stderr)

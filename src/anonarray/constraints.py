@@ -1,5 +1,5 @@
-"""Hard / soft / don't-care constraints, implicit-constraint propagation,
-feasibility checking, and the row-count lower bound.
+"""Hard / soft / don't-care constraints, the row completer, the exact
+feasibility check, and the row-count lower bound.
 
 Classification rules:
   * a credential is hard when it is a superset of any hard constraint
@@ -9,10 +9,15 @@ Classification rules:
     (it can never be used in a policy either);
   * everything else is unconstrained.
 
-Implicit hard constraints are derived with a value-elimination fixpoint:
-a credential is forbidden when, for some uncovered attribute, every way
-to extend it by one value of that attribute is already forbidden.  This
-is a sound under-approximation of full infeasibility checking.
+A row is legal when it contains no hard constraint, whatever the
+constraint's size.  `complete` is the one answer to "does this partial
+row extend to a legal row?": a depth-first search that returns the
+lexicographically smallest legal completion.  The feasibility check and
+construction's row filling both ask it, so the implicit hard constraints
+that `check_feasibility` derives are exactly the minimal credentials of
+size <= t that no legal row contains.  Hard constraints larger than t
+therefore shape feasibility and construction; soft and don't-care
+constraints larger than t are inert.
 
 The appearance rule ("every unconstrained credential must appear r
 times") and hence feasibility and the lower bound are evaluated over
@@ -24,19 +29,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from .errors import InvalidParameterError
-from .model import AttributeSchema, Credential, enumerate_column_sets
+from .errors import InvalidParameterError, SearchBudgetError
+from .model import AttributeSchema, Credential, Row, enumerate_column_sets
 
 HARD = "hard"
 SOFT = "soft"
 DONT_CARE = "dont_care"
 UNCONSTRAINED = "unconstrained"
 
-# Full enumeration of sub-t credentials is abandoned past this count and a
-# reduction-driven candidate pool is used instead.
-_ENUMERATION_CAP = 500_000
+# Nodes one call of `complete` may visit before it gives up.
+_SEARCH_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,8 @@ class ConstraintSet:
             c.validate_for(schema)
 
     def oversized(self, t: int) -> Tuple[Credential, ...]:
-        """Constraints larger than the analysis t; retained but inert."""
+        """Constraints larger than the analysis t.  Hard ones still forbid
+        every row that contains them; soft and don't-care ones are inert."""
         return tuple(
             sorted(
                 c
@@ -99,135 +104,129 @@ def classify(credential: Credential, constraints: ConstraintSet) -> str:
     return UNCONSTRAINED
 
 
-def _minimal(creds: Iterable[Credential]) -> FrozenSet[Credential]:
-    """Drop every credential that strictly contains another in the set."""
-    creds = set(creds)
-    return frozenset(
-        c
-        for c in creds
-        if not any(o is not c and c.contains(o) and c != o for o in creds)
-    )
+def _within(credential: Credential, cells: Dict[int, int]) -> bool:
+    """True when every pair of the credential is one of the cells."""
+    return all(cells.get(a) == v for a, v in credential.pairs)
 
 
-def _all_credentials_upto(schema: AttributeSchema, t: int):
-    for size in range(1, t + 1):
-        for cols in enumerate_column_sets(schema.k, size):
-            for values in itertools.product(*(range(schema.sizes[c]) for c in cols)):
-                yield Credential(tuple(zip(cols, values)))
+def complete(
+    schema: AttributeSchema, hard: Iterable[Credential], fixed: Dict[int, int]
+) -> Optional[Row]:
+    """The lexicographically smallest legal row holding the `fixed` cells,
+    or None when there is none.
 
-
-def _credential_space_size(schema: AttributeSchema, t: int) -> int:
-    total = 0
-    sizes = schema.sizes
-    for size in range(1, t + 1):
-        for cols in enumerate_column_sets(schema.k, size):
-            prod = 1
-            for c in cols:
-                prod *= sizes[c]
-            total += prod
-            if total > _ENUMERATION_CAP:
-                return total
-    return total
-
-
-def derive_implicit_hard(
-    schema: AttributeSchema, constraints: ConstraintSet, t: int
-) -> FrozenSet[Credential]:
-    """Minimal newly-forbidden credentials implied by the hard constraints.
-
-    A credential of size <= t is forbidden when it contains a hard
-    constraint or when some attribute outside it cannot be assigned any
-    value without producing a forbidden credential.  Returns only the
-    minimal derived credentials that are not supersets of (or equal to)
-    explicit hard constraints.
+    A row is legal when it contains no hard constraint.  The search runs
+    depth first over the attributes the live constraints mention, in index
+    order, trying values in ascending order; every other free cell is 0.
+    Raises `SearchBudgetError` after `_SEARCH_BUDGET` nodes.
     """
-    if t > schema.k:
-        raise InvalidParameterError(f"t={t} exceeds k={schema.k}")
-    constraints.validate_for(schema)
-    explicit = frozenset(h for h in constraints.hard if len(h) <= t)
-    if not explicit:
-        return frozenset()
+    live: List[Tuple[Tuple[int, int], ...]] = []
+    for h in hard:
+        if any(fixed.get(a, v) != v for a, v in h.pairs):
+            continue
+        rest = tuple((a, v) for a, v in h.pairs if a not in fixed)
+        if not rest:
+            return None
+        live.append(rest)
+    order = sorted({a for rest in live for a, _ in rest})
+    # each constraint is checked once its last attribute is assigned
+    checks: Dict[int, list] = {a: [] for a in order}
+    for rest in live:
+        checks[rest[-1][0]].append(rest)
+    row = [fixed.get(a, 0) for a in range(schema.k)]
+    nodes = itertools.count(1)
 
-    minimal = set(_minimal(explicit))
+    def search(i: int) -> bool:
+        if i == len(order):
+            return True
+        a = order[i]
+        for x in range(schema.sizes[a]):
+            if next(nodes) > _SEARCH_BUDGET:
+                shown = (
+                    Credential(tuple(fixed.items())).render(schema) if fixed else "{}"
+                )
+                raise SearchBudgetError(
+                    f"row completion gave up after {_SEARCH_BUDGET} search nodes "
+                    f"while completing {shown}"
+                )
+            row[a] = x
+            if not any(all(row[b] == v for b, v in rest) for rest in checks[a]):
+                if search(i + 1):
+                    return True
+        return False
 
-    def forbidden(cred: Credential) -> bool:
-        return any(cred.contains(m) for m in minimal)
-
-    if _credential_space_size(schema, t) <= _ENUMERATION_CAP:
-        candidates = list(_all_credentials_upto(schema, t))
-    else:
-        # Reduction-driven pool: drop one attribute from each constraint.
-        pool = set()
-        for m in minimal:
-            for a in m.attributes:
-                reduced = tuple(p for p in m.pairs if p[0] != a)
-                if reduced:
-                    pool.add(Credential(reduced))
-        candidates = sorted(pool)
-
-    changed = True
-    while changed:
-        changed = False
-        for cred in candidates:
-            if len(cred) >= t or forbidden(cred):
-                continue
-            covered = set(cred.attributes)
-            for a in range(schema.k):
-                if a in covered:
-                    continue
-                if all(
-                    forbidden(Credential(cred.pairs + ((a, x),)))
-                    for x in range(schema.sizes[a])
-                ):
-                    minimal.add(cred)
-                    minimal = set(_minimal(minimal))
-                    changed = True
-                    break
-
-    derived = {
-        m
-        for m in _minimal(minimal)
-        if m not in explicit and not any(m.contains(h) for h in explicit)
-    }
-    return frozenset(derived)
+    return tuple(row) if search(0) else None
 
 
 def check_feasibility(
     schema: AttributeSchema, constraints: ConstraintSet, t: int
 ) -> FeasibilityReport:
-    """Can every unconstrained size-t credential appear in some legal row?
+    """Is there a legal row, and can every unconstrained size-t credential
+    appear in one?
 
-    Infeasible when a credential classified unconstrained is caught by the
-    implicit-hard propagation: it must appear r times yet no row avoiding
-    the hard constraints can contain it.
+    Walks the credentials of size 1..t by size, column set and values.  A
+    credential containing an already derived one is blocked.  Any other
+    extends when the smallest legal row with its cells written over it is
+    still legal, or else when `complete` finds a row; one that does not
+    extend and contains no hard constraint is a new minimal implicit hard
+    constraint.  Every size-t credential that is blocked or newly derived
+    and that `classify` calls unconstrained is a witness of infeasibility.
+    With no legal row at all the report is infeasible, with or without a
+    witness.
     """
-    if t > schema.k:
-        raise InvalidParameterError(f"t={t} exceeds k={schema.k}")
+    if not 1 <= t <= schema.k:
+        raise InvalidParameterError(f"t={t} out of range for k={schema.k}")
     constraints.validate_for(schema)
-    derived = derive_implicit_hard(schema, constraints, t)
+    hard = constraints.hard
+    # `base` is legal, so writing cells over it can only break the hard
+    # constraints that touch the written attributes
+    base = complete(schema, hard, {})
+    touching = [[h for h in hard if a in h.attributes] for a in range(schema.k)]
+    derived: List[Credential] = []
     witnesses: List[Tuple[Credential, str]] = []
-    if derived:
-        for cols in enumerate_column_sets(schema.k, t):
+    for size in range(1, t + 1):
+        for cols in enumerate_column_sets(schema.k, size):
             for values in itertools.product(*(range(schema.sizes[c]) for c in cols)):
-                cred = Credential(tuple(zip(cols, values)))
-                if classify(cred, constraints) != UNCONSTRAINED:
+                fixed = dict(zip(cols, values))
+                cause = next((d for d in derived if _within(d, fixed)), None)
+                if cause is None:
+                    if base is not None:
+                        row = [fixed.get(a, x) for a, x in enumerate(base)]
+                        if not any(
+                            h.contained_in_row(row) for a in cols for h in touching[a]
+                        ):
+                            continue
+                    if complete(schema, hard, fixed) is not None:
+                        continue
+                    if any(_within(h, fixed) for h in hard):
+                        continue
+                    cause = Credential(tuple(fixed.items()))
+                    derived.append(cause)
+                if size < t:
                     continue
-                for d in derived:
-                    if cred.contains(d):
-                        witnesses.append(
-                            (
-                                cred,
-                                "unconstrained credential is unrealizable: every row "
-                                f"containing it violates a hard constraint "
-                                f"(implied by {d.render(schema)})",
-                            )
+                cred = Credential(tuple(fixed.items()))
+                if classify(cred, constraints) == UNCONSTRAINED:
+                    witnesses.append(
+                        (
+                            cred,
+                            "unconstrained credential is unrealizable: every row "
+                            f"containing it violates a hard constraint "
+                            f"(implied by {cause.render(schema)})",
                         )
-                        break
+                    )
     return FeasibilityReport(
-        feasible=not witnesses,
-        implicit_hard=derived,
+        feasible=base is not None and not witnesses,
+        implicit_hard=frozenset(derived),
         witnesses=tuple(witnesses),
     )
+
+
+def derive_implicit_hard(
+    schema: AttributeSchema, constraints: ConstraintSet, t: int
+) -> FrozenSet[Credential]:
+    """Minimal credentials of size <= t that no legal row contains, other
+    than the hard constraints themselves."""
+    return check_feasibility(schema, constraints, t).implicit_hard
 
 
 def row_lower_bound(
@@ -238,8 +237,6 @@ def row_lower_bound(
     unconstrained credential must appear."""
     if r < 1:
         raise InvalidParameterError("r must be at least 1")
-    if t > schema.k:
-        raise InvalidParameterError(f"t={t} exceeds k={schema.k}")
     constraints.validate_for(schema)
     best = 0
     for cols in enumerate_column_sets(schema.k, t):

@@ -27,6 +27,7 @@ from .constraints import (
     ConstraintSet,
     check_feasibility,
     classify,
+    complete,
     row_lower_bound,
 )
 from .errors import BudgetExceededError, InfeasibleError, InvalidParameterError
@@ -218,7 +219,6 @@ def _fill_row(
     """A full row honoring the fixed cells and avoiding hard constraints,
     preferring rows that introduce no currently-absent soft credential."""
     sizes = schema.sizes
-    free = [c for c in range(schema.k) if c not in fixed]
 
     def sample() -> Row:
         return tuple(
@@ -237,14 +237,7 @@ def _fill_row(
         row = sample()
         if not _violates_hard(row, constraints):
             return row
-    # deterministic fallback: exhaustive scan over the free cells
-    for combo in itertools.product(*(range(sizes[c]) for c in free)):
-        cells = dict(zip(free, combo))
-        cells.update(fixed)
-        row = tuple(cells[c] for c in range(schema.k))
-        if not _violates_hard(row, constraints):
-            return row
-    return None
+    return complete(schema, constraints.hard, fixed)
 
 
 def _run_attempt(
@@ -303,12 +296,10 @@ def construct_padding(
     feasibility = check_feasibility(schema, constraints, config.t)
     if not feasibility.feasible:
         raise InfeasibleError(feasibility, schema)
-    if base is not None:
-        pre = compute_guarantee(base, config.t, constraints)
-        if pre.hard_violations:
-            raise InvalidParameterError(
-                "base array violates hard constraints; padding cannot repair it"
-            )
+    if any(_violates_hard(row, constraints) for row in base_rows):
+        raise InvalidParameterError(
+            "base array violates hard constraints; padding cannot repair it"
+        )
     if config.max_rows is not None and config.max_rows < len(base_rows):
         raise InvalidParameterError("max_rows is smaller than the base array")
 
@@ -326,6 +317,11 @@ def construct_padding(
         raise min(errors, key=lambda exc: sum(exc.remaining.values()))
     # fewest rows, then the smallest rows; the first attempt among equals
     rows, trace = min(results, key=lambda result: (len(result[0]), result[0]))
+    if not rows:
+        # from scratch with no credential that must appear: r_target copies
+        # of one legal row make a valid array
+        row = complete(schema, constraints.hard, {})
+        rows, trace = [row] * config.r_target, [(row, 0)] * config.r_target
     labels = None
     if base is not None and base.row_labels is not None:
         padding = range(1, len(rows) - len(base_rows) + 1)
@@ -356,8 +352,6 @@ def suggest_credential_size(
     if row_budget < base.n_rows:
         raise InvalidParameterError("row_budget must cover the base array")
     for t in range(base.k, 0, -1):
-        if not check_feasibility(base.schema, constraints, t).feasible:
-            continue
         if row_lower_bound(base.schema, constraints, r_target, t) > row_budget:
             continue
         config = ConstructionConfig(
@@ -365,7 +359,7 @@ def suggest_credential_size(
         )
         try:
             result = construct_padding(base, constraints, config)
-        except (BudgetExceededError, InvalidParameterError):
+        except (BudgetExceededError, InfeasibleError, InvalidParameterError):
             continue
         return t, result
     return 0, None

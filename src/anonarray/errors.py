@@ -35,6 +35,7 @@ class InfeasibleError(AnonArrayError):
 
     The message names every witness credential, rendered with the schema,
     and gives each distinct reason once after the credentials it covers.
+    With no witness, the fault is that no row avoids every hard constraint.
     """
 
     def __init__(self, report, schema):
@@ -42,11 +43,12 @@ class InfeasibleError(AnonArrayError):
         by_reason = {}
         for cred, reason in report.witnesses:
             by_reason.setdefault(reason, []).append(cred.render(schema))
+        found = "; ".join(
+            f"{', '.join(creds)}: {reason}" for reason, creds in by_reason.items()
+        )
         super().__init__(
             "constraint system is infeasible: "
-            + "; ".join(
-                f"{', '.join(creds)}: {reason}" for reason, creds in by_reason.items()
-            )
+            + (found or "no row avoids every hard constraint")
         )
 
 
@@ -59,3 +61,7 @@ class BudgetExceededError(AnonArrayError):
         super().__init__(
             f"row budget exhausted with {len(remaining)} credentials still deficient"
         )
+
+
+class SearchBudgetError(AnonArrayError):
+    """Row completion gave up before deciding whether a legal row exists."""

@@ -141,3 +141,20 @@ def fractional_replicated(binary3_schema):
 def two_groups(binary3_schema):
     rows = ((0, 0, 0), (0, 0, 0)) + ((1, 1, 1),) * 6
     return AccessProfileArray(binary3_schema, rows)
+
+
+@pytest.fixture(scope="session")
+def uncolourable():
+    """Five three-valued attributes; a1=1 forbids every equal pair among
+    a2..a5, so rows with a1=1 would 3-colour K4.  Deciding that no such row
+    exists takes 48 search nodes; the smallest legal row takes 5."""
+    schema = AttributeSchema(
+        tuple(AttributeDef(f"a{i + 1}", ("0", "1", "2")) for i in range(5))
+    )
+    hard = {
+        Credential(((0, 1), (i, c), (j, c)))
+        for i in range(1, 5)
+        for j in range(i + 1, 5)
+        for c in range(3)
+    }
+    return schema, ConstraintSet(hard=frozenset(hard))

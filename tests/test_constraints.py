@@ -1,15 +1,19 @@
 import pytest
 
+import anonarray.constraints as constraints_mod
 from anonarray import (
+    AttributeDef,
+    AttributeSchema,
     ConstraintSet,
     Credential,
     InvalidParameterError,
+    SearchBudgetError,
     check_feasibility,
     classify,
     derive_implicit_hard,
     row_lower_bound,
 )
-from anonarray.constraints import DONT_CARE, HARD, SOFT, UNCONSTRAINED
+from anonarray.constraints import DONT_CARE, HARD, SOFT, UNCONSTRAINED, complete
 
 from conftest import cred
 from oracles import brute_force_infeasible_credentials
@@ -117,7 +121,90 @@ class TestDeriveImplicitHard:
         assert len(large) >= len(small)
 
 
+    def test_exact_where_value_elimination_misses(self):
+        # no legal row holds a1=0, though each single extension of it is legal
+        schema = AttributeSchema(
+            tuple(AttributeDef(f"a{i + 1}", ("0", "1")) for i in range(3))
+        )
+        cons = ConstraintSet(
+            hard=frozenset(
+                {
+                    Credential(((0, 0), (1, 0))),
+                    Credential(((0, 0), (2, 0))),
+                    Credential(((1, 1), (2, 1))),
+                }
+            )
+        )
+        assert derive_implicit_hard(schema, cons, 2) == frozenset(
+            {Credential(((0, 0),))}
+        )
+
+    def test_hard_constraints_larger_than_t_count(
+        self, binary3_schema, halfspace_constraints
+    ):
+        derived = derive_implicit_hard(binary3_schema, halfspace_constraints, 1)
+        assert derived == frozenset({Credential(((0, 0),))})
+
+
+class TestComplete:
+    def test_smallest_legal_row(self, binary3_schema, halfspace_constraints):
+        assert complete(binary3_schema, halfspace_constraints.hard, {}) == (1, 0, 0)
+        assert complete(binary3_schema, halfspace_constraints.hard, {2: 1}) == (1, 0, 1)
+
+    def test_none_when_fixed_cells_hold_a_constraint(
+        self, binary3_schema, halfspace_constraints
+    ):
+        assert complete(binary3_schema, halfspace_constraints.hard, {0: 0}) is None
+
+    def test_backtracks(self, uncolourable):
+        schema, cons = uncolourable
+        assert complete(schema, cons.hard, {0: 0}) == (0, 0, 0, 0, 0)
+        assert complete(schema, cons.hard, {0: 1}) is None
+        assert derive_implicit_hard(schema, cons, 2) == frozenset(
+            {Credential(((0, 1),))}
+        )
+
+    def test_node_budget_names_the_credential(self, uncolourable, monkeypatch):
+        schema, cons = uncolourable
+        monkeypatch.setattr(constraints_mod, "_SEARCH_BUDGET", 20)
+        # the smallest legal row still fits in the budget
+        assert complete(schema, cons.hard, {}) == (0, 0, 0, 0, 0)
+        with pytest.raises(SearchBudgetError) as exc:
+            check_feasibility(schema, cons, 2)
+        assert "{(a1, 1)}" in str(exc.value)
+
+
 class TestFeasibility:
+    @pytest.mark.parametrize("t", [0, -1, 4])
+    def test_t_out_of_range(self, binary3_schema, t):
+        with pytest.raises(InvalidParameterError, match="out of range"):
+            check_feasibility(binary3_schema, ConstraintSet(), t)
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_size_three_constraints_block_a_value(self, t):
+        schema = AttributeSchema(
+            tuple(AttributeDef(f"a{i}", ("0", "1")) for i in range(4))
+        )
+        cons = ConstraintSet(
+            hard=frozenset(
+                Credential(((0, 0), (1, b), (c, x)))
+                for b, c in ((0, 2), (1, 3))
+                for x in (0, 1)
+            )
+        )
+        report = check_feasibility(schema, cons, t)
+        assert not report.feasible
+        assert report.implicit_hard == frozenset({Credential(((0, 0),))})
+
+    def test_no_legal_row_is_infeasible(self, binary3_schema):
+        # every size-2 credential is hard, so none is a witness
+        cons = ConstraintSet(
+            hard=frozenset(Credential(((a, x),)) for a in (0, 1) for x in (0, 1))
+        )
+        report = check_feasibility(binary3_schema, cons, 2)
+        assert not report.feasible
+        assert report.witnesses == ()
+
     def test_pair_block_infeasible(self, binary3_schema, pair_block_constraints):
         report = check_feasibility(binary3_schema, pair_block_constraints, 2)
         assert not report.feasible

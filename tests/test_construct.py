@@ -140,8 +140,49 @@ class TestConstructPadding:
     ):
         bad = AccessProfileArray(binary3_schema, ((0, 0, 0),))
         config = ConstructionConfig(r_target=2, t=2, seed=0)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="violates hard"):
             construct_padding(bad, halfspace_constraints, config)
+
+    def test_base_with_hard_constraint_larger_than_t_rejected(self, binary3_schema):
+        cons = ConstraintSet(hard=frozenset({Credential(((0, 0), (1, 0), (2, 0)))}))
+        bad = AccessProfileArray(binary3_schema, ((1, 1, 1), (0, 0, 0)))
+        config = ConstructionConfig(r_target=2, t=2, seed=0)
+        with pytest.raises(InvalidParameterError, match="violates hard"):
+            construct_padding(bad, cons, config)
+
+    def test_infeasible_where_value_elimination_misses(self, binary3_schema):
+        cons = ConstraintSet(
+            hard=frozenset(
+                {
+                    Credential(((0, 0), (1, 0))),
+                    Credential(((0, 0), (2, 0))),
+                    Credential(((1, 1), (2, 1))),
+                }
+            )
+        )
+        config = ConstructionConfig(r_target=2, t=2, seed=0)
+        with pytest.raises(InfeasibleError) as exc:
+            construct_padding(None, cons, config, schema=binary3_schema)
+        assert "(implied by {(a1, 0)})" in str(exc.value)
+
+    def test_nothing_to_pad_from_scratch(self, binary3_schema):
+        # every size-3 credential is hard or don't-care
+        cons = ConstraintSet(
+            hard=frozenset({Credential(((0, 1),))}),
+            dont_care=frozenset({Credential(((0, 0),))}),
+        )
+        config = ConstructionConfig(r_target=2, t=3, seed=0)
+        result = construct_padding(None, cons, config, schema=binary3_schema)
+        assert result.array.rows == ((0, 0, 0), (0, 0, 0))
+        assert validate(result.array, 2, 3, cons).ok
+
+    def test_no_legal_row_infeasible(self, binary3_schema):
+        cons = ConstraintSet(
+            hard=frozenset(Credential(((a, x),)) for a in (0, 1) for x in (0, 1))
+        )
+        config = ConstructionConfig(r_target=2, t=2, seed=0)
+        with pytest.raises(InfeasibleError, match="no row avoids every hard"):
+            construct_padding(None, cons, config, schema=binary3_schema)
 
     def test_soft_zero_or_r(self, array_a, university_constraints, university_schema):
         # whichever padding is chosen, every soft credential appears 0 or >= 2 times

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import anonarray.constraints as constraints_mod
 from anonarray import ParseError
 from anonarray.cli import main
 from anonarray.io import (
@@ -333,6 +334,21 @@ class TestCliConstruct:
         assert code == 5
         assert "a3" in err
 
+    def test_oversized_hard_constraints_block_a_value_exit_5(self, capsys):
+        code, _, err = run(
+            capsys,
+            "construct",
+            FIXTURES / "binary3_schema.json",
+            "-",
+            FIXTURES / "halfspace_constraints.json",
+            "--r",
+            "2",
+            "--t",
+            "1",
+        )
+        assert code == 5
+        assert "{(a1, 0)}" in err
+
     def test_already_satisfied(self, capsys, tmp_path):
         out_file = tmp_path / "same.csv"
         code, out, _ = run(
@@ -459,3 +475,32 @@ class TestCliConstraintsDerive:
         doc = json.loads(out)
         assert code == 0
         assert doc["feasible"] is True
+
+    @pytest.mark.parametrize("t", ["0", "-1"])
+    def test_t_out_of_range_exit_1(self, capsys, t):
+        code, out, err = run(
+            capsys,
+            "constraints-derive",
+            FIXTURES / "binary3_schema.json",
+            FIXTURES / "halfspace_constraints.json",
+            "--t",
+            t,
+        )
+        assert code == 1
+        assert out == ""
+        assert f"t={t} out of range" in err
+
+    @pytest.mark.parametrize("command", ["constraints-derive", "construct"])
+    def test_search_budget_exit_1(
+        self, capsys, tmp_path, monkeypatch, uncolourable, command
+    ):
+        schema, constraints = uncolourable
+        (tmp_path / "s.json").write_text(serialize_schema(schema))
+        (tmp_path / "c.json").write_text(serialize_constraints(constraints, schema))
+        monkeypatch.setattr(constraints_mod, "_SEARCH_BUDGET", 20)
+        argv = [tmp_path / "s.json", tmp_path / "c.json", "--t", "2"]
+        if command == "construct":
+            argv = [argv[0], "-", *argv[1:], "--r", "2"]
+        code, _, err = run(capsys, command, *argv)
+        assert code == 1
+        assert "gave up after 20 search nodes while completing {(a1, 1)}" in err

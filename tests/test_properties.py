@@ -11,17 +11,20 @@ from anonarray import (
     AttributeDef,
     AttributeSchema,
     ConstraintSet,
+    ConstructionConfig,
     Credential,
+    InfeasibleError,
     check_feasibility,
     classify,
     compute_guarantee,
+    construct_padding,
     deficiency,
     derive_implicit_hard,
     global_homogeneity,
     local_homogeneity,
     validate,
 )
-from anonarray.constraints import HARD
+from anonarray.constraints import HARD, UNCONSTRAINED, complete
 from anonarray.construct import _credential_kinds, _State
 
 from oracles import (
@@ -181,17 +184,86 @@ def test_classify_closed_under_hard_supersets(case):
         assert classify(sup, constraints) == HARD
 
 
-@given(arrays_with_constraints(max_k=4, max_v=2, max_n=4))
-@settings(max_examples=75, deadline=None)
-def test_derived_implicit_constraints_are_sound(case):
-    array, t, constraints = case
-    schema = array.schema
-    derived = derive_implicit_hard(schema, constraints, t)
-    infeasible = set(
-        brute_force_infeasible_credentials(schema, constraints.hard, t)
+@st.composite
+def constraint_systems(draw):
+    """A small schema, t, and hard constraints of every size 1..k (so some
+    are larger than t) beside soft and don't-care ones of size <= t."""
+    schema = draw(schemas(max_k=4, max_v=3))
+    t = draw(st.integers(1, schema.k))
+
+    def credential(size):
+        cols = draw(
+            st.lists(
+                st.integers(0, schema.k - 1), min_size=size, max_size=size, unique=True
+            )
+        )
+        return Credential(
+            tuple((c, draw(st.integers(0, schema.sizes[c] - 1))) for c in cols)
+        )
+
+    def some(most, high):
+        n = draw(st.integers(0, most))
+        return {credential(draw(st.integers(1, high))) for _ in range(n)}
+
+    hard = some(6, schema.k)
+    soft = some(2, t) - hard
+    dont_care = some(2, t) - hard - soft
+    return schema, t, ConstraintSet(hard=hard, soft=soft, dont_care=dont_care)
+
+
+@given(constraint_systems())
+@settings(max_examples=150, deadline=None)
+def test_feasibility_matches_brute_force(case):
+    schema, t, constraints = case
+    infeasible = set(brute_force_infeasible_credentials(schema, constraints.hard, t))
+    minimal = {
+        c for c in infeasible if not any(c != d and c.contains(d) for d in infeasible)
+    }
+    report = check_feasibility(schema, constraints, t)
+    assert report.implicit_hard == minimal - constraints.hard
+    assert derive_implicit_hard(schema, constraints, t) == report.implicit_hard
+    assert {c for c, _ in report.witnesses} == {
+        c
+        for c in infeasible
+        if len(c) == t and classify(c, constraints) == UNCONSTRAINED
+    }
+    legal = any(
+        not any(h.contained_in_row(row) for h in constraints.hard)
+        for row in itertools.product(*(range(v) for v in schema.sizes))
     )
-    for c in derived:
-        assert c in infeasible
+    assert report.feasible == (legal and not report.witnesses)
+
+
+@given(constraint_systems(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_complete_is_first_legal_row_of_product(case, data):
+    schema, _, constraints = case
+    attrs = data.draw(st.sets(st.integers(0, schema.k - 1)))
+    fixed = {a: data.draw(st.integers(0, schema.sizes[a] - 1)) for a in attrs}
+    free = [a for a in range(schema.k) if a not in fixed]
+    expected = None
+    for combo in itertools.product(*(range(schema.sizes[a]) for a in free)):
+        cells = {**fixed, **dict(zip(free, combo))}
+        row = tuple(cells[a] for a in range(schema.k))
+        if not any(h.contained_in_row(row) for h in constraints.hard):
+            expected = row
+            break
+    assert complete(schema, constraints.hard, fixed) == expected
+
+
+@given(constraint_systems(), st.integers(0, 3))
+@settings(max_examples=75, deadline=None)
+def test_feasible_iff_construct_succeeds(case, seed):
+    schema, t, constraints = case
+    feasible = check_feasibility(schema, constraints, t).feasible
+    config = ConstructionConfig(r_target=2, t=t, seed=seed, restarts=0)
+    try:
+        result = construct_padding(None, constraints, config, schema=schema)
+    except InfeasibleError:
+        assert not feasible
+        return
+    assert feasible
+    assert validate(result.array, 2, t, constraints).ok
 
 
 @st.composite
