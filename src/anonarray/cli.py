@@ -2,10 +2,10 @@
 
 Subcommands: verify, profile, homogeneity, construct, constraints-derive.
 Exit codes: 0 success, 1 parse, schema or invalid-parameter error (such
-as `verify --t 9` on four attributes or `construct --r 1`), 2 anonymity
-violation, 3 hard-constraint violation, 4 row budget exceeded, 5
-infeasible constraint system.  Machine output (--json) is versioned;
-human output may evolve.
+as `verify --t 9` on four attributes or `construct --r 1`) or an exhausted
+row-completion search budget, 2 anonymity violation, 3 hard-constraint
+violation, 4 row budget exceeded, 5 infeasible constraint system.  Machine
+output (--json) is versioned; human output may evolve.
 """
 
 from __future__ import annotations
