@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import anonarray.constraints as constraints_mod
@@ -238,6 +240,31 @@ class TestFeasibility:
     ):
         report = check_feasibility(binary3_schema, pair_block_constraints, 2)
         assert report.witnesses
+
+
+    def test_pre_test_spares_complete_on_a_one_component_chain(self, monkeypatch):
+        # every attribute is in one component, so only the cheap pre-test
+        # keeps the walk from asking `complete` about each of the 37,824
+        # size-3 credentials; a walk with it makes 9185 calls here
+        rnd = random.Random(0)
+        schema = AttributeSchema(
+            tuple(AttributeDef(f"a{i}", tuple("0123")) for i in range(16))
+        )
+        hard = frozenset(
+            Credential(((i, rnd.randrange(4)), (i + 1, rnd.randrange(4))))
+            for i in range(15)
+        )
+        calls = []
+        real = constraints_mod.complete
+
+        def counted(schema, hard, fixed):
+            calls.append(fixed)
+            return real(schema, hard, fixed)
+
+        monkeypatch.setattr(constraints_mod, "complete", counted)
+        report = check_feasibility(schema, ConstraintSet(hard=hard), 3)
+        assert report.feasible
+        assert len(calls) <= 9185 + 1
 
 
 class TestRowLowerBound:

@@ -211,8 +211,47 @@ def constraint_systems(draw):
     return schema, t, ConstraintSet(hard=hard, soft=soft, dont_care=dont_care)
 
 
-@given(constraint_systems())
-@settings(max_examples=150, deadline=None)
+@st.composite
+def component_systems(draw):
+    """Up to six attributes, t, and hard constraints of every size inside
+    two disjoint attribute blocks, so the hard constraints form two or more
+    components; the attributes outside both blocks are free.  Soft and
+    don't-care constraints of size <= t may span anything."""
+    schema = draw(schemas(max_k=6, max_v=3))
+    t = draw(st.integers(1, schema.k))
+    order = draw(st.permutations(range(schema.k)))
+    cut = draw(st.integers(1, schema.k - 1))
+    end = draw(st.integers(cut + 1, schema.k))
+
+    def credential(attrs, size):
+        cols = draw(
+            st.lists(st.sampled_from(attrs), min_size=size, max_size=size, unique=True)
+        )
+        return Credential(
+            tuple((c, draw(st.integers(0, schema.sizes[c] - 1))) for c in cols)
+        )
+
+    def some(most, attrs, high):
+        n = draw(st.integers(0, most))
+        return {credential(attrs, draw(st.integers(1, high))) for _ in range(n)}
+
+    hard = set()
+    for block in (order[:cut], order[cut:end]):
+        hard |= some(4, block, len(block))
+    everything = list(range(schema.k))
+    soft = some(2, everything, t) - hard
+    dont_care = some(2, everything, t) - hard - soft
+    return schema, t, ConstraintSet(hard=hard, soft=soft, dont_care=dont_care)
+
+
+def _walk_key(credential):
+    """(size, column set, values): the order in which credentials are walked."""
+    values = tuple(v for _, v in credential.pairs)
+    return len(credential), credential.attributes, values
+
+
+@given(st.one_of(constraint_systems(), component_systems()))
+@settings(max_examples=300, deadline=None)
 def test_feasibility_matches_brute_force(case):
     schema, t, constraints = case
     infeasible = set(brute_force_infeasible_credentials(schema, constraints.hard, t))
@@ -222,11 +261,20 @@ def test_feasibility_matches_brute_force(case):
     report = check_feasibility(schema, constraints, t)
     assert report.implicit_hard == minimal - constraints.hard
     assert derive_implicit_hard(schema, constraints, t) == report.implicit_hard
-    assert {c for c, _ in report.witnesses} == {
-        c
-        for c in infeasible
-        if len(c) == t and classify(c, constraints) == UNCONSTRAINED
-    }
+    witnesses = [c for c, _ in report.witnesses]
+    assert witnesses == sorted(
+        (
+            c
+            for c in infeasible
+            if len(c) == t and classify(c, constraints) == UNCONSTRAINED
+        ),
+        key=_walk_key,
+    )
+    # each reason names the first derived credential the witness contains
+    derived = sorted(report.implicit_hard, key=_walk_key)
+    for c, reason in report.witnesses:
+        cause = next(d for d in derived if c.contains(d))
+        assert reason.endswith(f"(implied by {cause.render(schema)})")
     legal = any(
         not any(h.contained_in_row(row) for h in constraints.hard)
         for row in itertools.product(*(range(v) for v in schema.sizes))
