@@ -158,64 +158,142 @@ def complete(
     return tuple(row) if search(0) else None
 
 
+def _components(
+    hard: Iterable[Credential],
+) -> List[Tuple[Tuple[int, ...], List[Credential]]]:
+    """The connected components of the hypergraph whose vertices are
+    attributes and whose edges are the hard constraints, found with
+    union-find: (sorted attributes, hard constraints) per component, by
+    smallest attribute.  Attributes in no hard constraint are in none."""
+    parent: Dict[int, int] = {}
+
+    def find(a: int) -> int:
+        parent.setdefault(a, a)
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for h in hard:
+        first, *rest = h.attributes
+        for a in rest:
+            parent[find(a)] = find(first)
+    members: Dict[int, List[Credential]] = {}
+    for h in hard:
+        members.setdefault(find(h.attributes[0]), []).append(h)
+    return sorted(
+        (
+            (tuple(sorted({a for h in group for a in h.attributes})), group)
+            for group in members.values()
+        ),
+        key=lambda component: component[0],
+    )
+
+
+def _walk_key(credential: Credential) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+    """(size, column set, values): the order in which credentials are walked."""
+    return len(credential), credential.attributes, tuple(v for _, v in credential.pairs)
+
+
+def _derive_in_component(
+    schema: AttributeSchema,
+    attrs: Tuple[int, ...],
+    hard: List[Credential],
+    base: Row,
+    t: int,
+) -> List[Credential]:
+    """The minimal credentials of size <= t on one component's attributes
+    that no legal row holds, other than its hard constraints, in walk
+    order.  `base` is the component's smallest legal assignment."""
+    touching = {a: [h for h in hard if a in h.attributes] for a in attrs}
+    derived: List[Credential] = []
+    for size in range(1, min(t, len(attrs)) + 1):
+        for cols in itertools.combinations(attrs, size):
+            for values in itertools.product(*(range(schema.sizes[c]) for c in cols)):
+                fixed = dict(zip(cols, values))
+                if any(_within(d, fixed) for d in derived):
+                    continue
+                # `base` is legal, so writing cells over it can only break
+                # the hard constraints that touch the written attributes
+                row = list(base)
+                for c, x in fixed.items():
+                    row[c] = x
+                if not any(h.contained_in_row(row) for c in cols for h in touching[c]):
+                    continue
+                if complete(schema, hard, fixed) is not None:
+                    continue
+                if any(_within(h, fixed) for h in hard):
+                    continue
+                derived.append(Credential(tuple(fixed.items())))
+    return derived
+
+
 def check_feasibility(
     schema: AttributeSchema, constraints: ConstraintSet, t: int
 ) -> FeasibilityReport:
     """Is there a legal row, and can every unconstrained size-t credential
     appear in one?
 
-    Walks the credentials of size 1..t by size, column set and values.  A
-    credential containing an already derived one is blocked.  Any other
-    extends when the smallest legal row with its cells written over it is
-    still legal, or else when `complete` finds a row; one that does not
+    Legal rows are the product of the legal assignments of each component
+    of the hard constraints (see `_components`), with every other
+    attribute free.  So a credential extends exactly when its part in
+    every component does, and every minimal implicit hard constraint lies
+    inside one component.  Each component's credentials of size
+    1..min(t, its size) are walked by size, column set and values.  A
+    credential containing one already derived is blocked.  Any other
+    extends when the component's smallest legal assignment with its cells
+    written over it is still legal, or else when `complete`, given the
+    component's hard constraints only, finds a row.  One that does not
     extend and contains no hard constraint is a new minimal implicit hard
-    constraint.  Every size-t credential that is blocked or newly derived
-    and that `classify` calls unconstrained is a witness of infeasibility.
-    With no legal row at all the report is infeasible, with or without a
-    witness.
+    constraint.
+
+    When some component has no legal assignment, no row is legal: every
+    (attribute, value) pair that is not itself hard is derived and the
+    report is infeasible, with or without a witness.
+
+    The witnesses are the size-t credentials that contain a derived one
+    and that `classify` calls unconstrained, by column set and values.
+    Each reason names the first derived credential, by size, column set
+    and values, that the witness contains.
     """
     if not 1 <= t <= schema.k:
         raise InvalidParameterError(f"t={t} out of range for k={schema.k}")
     constraints.validate_for(schema)
-    hard = constraints.hard
-    # `base` is legal, so writing cells over it can only break the hard
-    # constraints that touch the written attributes
-    base = complete(schema, hard, {})
-    touching = [[h for h in hard if a in h.attributes] for a in range(schema.k)]
-    derived: List[Credential] = []
-    witnesses: List[Tuple[Credential, str]] = []
-    for size in range(1, t + 1):
-        for cols in enumerate_column_sets(schema.k, size):
+    components = _components(constraints.hard)
+    bases = [complete(schema, hard, {}) for _, hard in components]
+    legal = None not in bases
+    if legal:
+        derived = [
+            d
+            for (attrs, hard), base in zip(components, bases)
+            for d in _derive_in_component(schema, attrs, hard, base, t)
+        ]
+    else:
+        derived = [
+            single
+            for a in range(schema.k)
+            for x in range(schema.sizes[a])
+            if (single := Credential(((a, x),))) not in constraints.hard
+        ]
+    causes: Dict[Tuple[Tuple[int, int], ...], Credential] = {}
+    for d in sorted(derived, key=_walk_key):
+        others = [a for a in range(schema.k) if a not in d.attributes]
+        for cols in itertools.combinations(others, t - len(d)):
             for values in itertools.product(*(range(schema.sizes[c]) for c in cols)):
-                fixed = dict(zip(cols, values))
-                cause = next((d for d in derived if _within(d, fixed)), None)
-                if cause is None:
-                    if base is not None:
-                        row = [fixed.get(a, x) for a, x in enumerate(base)]
-                        if not any(
-                            h.contained_in_row(row) for a in cols for h in touching[a]
-                        ):
-                            continue
-                    if complete(schema, hard, fixed) is not None:
-                        continue
-                    if any(_within(h, fixed) for h in hard):
-                        continue
-                    cause = Credential(tuple(fixed.items()))
-                    derived.append(cause)
-                if size < t:
-                    continue
-                cred = Credential(tuple(fixed.items()))
-                if classify(cred, constraints) == UNCONSTRAINED:
-                    witnesses.append(
-                        (
-                            cred,
-                            "unconstrained credential is unrealizable: every row "
-                            f"containing it violates a hard constraint "
-                            f"(implied by {cause.render(schema)})",
-                        )
-                    )
+                causes.setdefault(tuple(sorted(d.pairs + tuple(zip(cols, values)))), d)
+    witnesses: List[Tuple[Credential, str]] = []
+    for cred in sorted(map(Credential, causes), key=_walk_key):
+        if classify(cred, constraints) == UNCONSTRAINED:
+            witnesses.append(
+                (
+                    cred,
+                    "unconstrained credential is unrealizable: every row "
+                    f"containing it violates a hard constraint "
+                    f"(implied by {causes[cred.pairs].render(schema)})",
+                )
+            )
     return FeasibilityReport(
-        feasible=base is not None and not witnesses,
+        feasible=legal and not witnesses,
         implicit_hard=frozenset(derived),
         witnesses=tuple(witnesses),
     )

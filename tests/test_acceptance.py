@@ -262,3 +262,47 @@ def test_criterion_7_construction_soundness():
         rerun = construct_padding(base, constraints, config, schema=schema)
         assert rerun.array.rows == result.array.rows
     _report(7, started, 120.0, f"{instances} randomized instances")
+
+
+def test_criterion_9_feasibility_cost_follows_components():
+    # k=32, v=4, t=3 has 317,440 size-3 credentials; six random hard pairs
+    # join at most 12 attributes, and the walk stays inside them
+    rnd = random.Random(CORPUS_SEED + 3)
+    schema = AttributeSchema(
+        tuple(AttributeDef(f"a{i + 1}", tuple("0123")) for i in range(32))
+    )
+    random_pairs = [
+        Credential(tuple((a, rnd.randrange(4)) for a in rnd.sample(range(32), 2)))
+        for _ in range(6)
+    ]
+    # every value of a2 is forbidden under a1=0, so {a1=0} is derived
+    planted = [Credential(((0, 0), (1, x))) for x in range(4)]
+    started = time.monotonic()
+    for hard in (random_pairs, random_pairs + planted):
+        constraints = ConstraintSet(hard=frozenset(hard))
+        report = check_feasibility(schema, constraints, 3)
+        # the same system with the free attributes dropped
+        kept = sorted({a for h in hard for a in h.attributes})
+        index = {a: i for i, a in enumerate(kept)}
+        reduced = check_feasibility(
+            AttributeSchema(tuple(schema.attributes[a] for a in kept)),
+            ConstraintSet(
+                hard=frozenset(
+                    Credential(tuple((index[a], v) for a, v in h.pairs)) for h in hard
+                )
+            ),
+            3,
+        )
+
+        def widen(c):
+            return Credential(tuple((kept[a], v) for a, v in c.pairs))
+
+        assert report.implicit_hard == {widen(c) for c in reduced.implicit_hard}
+        # free attributes only add witnesses, each holding a free attribute
+        inside = {(widen(c), reason) for c, reason in reduced.witnesses}
+        assert inside <= set(report.witnesses)
+        for c, _ in set(report.witnesses) - inside:
+            assert not set(c.attributes) <= set(kept)
+    assert report.implicit_hard == {Credential(((0, 0),))}
+    assert len(report.witnesses) > len(reduced.witnesses)
+    _report(9, started, 1.0, "k=32 v=4 t=3, 6 random hard pairs, then 4 planted")

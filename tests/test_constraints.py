@@ -242,7 +242,7 @@ class TestFeasibility:
         assert report.witnesses
 
 
-    def test_pre_test_spares_complete_on_a_one_component_chain(self, monkeypatch):
+    def test_pre_test_spares_complete_on_a_one_component_chain(self, complete_calls):
         # every attribute is in one component, so only the cheap pre-test
         # keeps the walk from asking `complete` about each of the 37,824
         # size-3 credentials; a walk with it makes 9185 calls here
@@ -254,17 +254,39 @@ class TestFeasibility:
             Credential(((i, rnd.randrange(4)), (i + 1, rnd.randrange(4))))
             for i in range(15)
         )
-        calls = []
-        real = constraints_mod.complete
-
-        def counted(schema, hard, fixed):
-            calls.append(fixed)
-            return real(schema, hard, fixed)
-
-        monkeypatch.setattr(constraints_mod, "complete", counted)
         report = check_feasibility(schema, ConstraintSet(hard=hard), 3)
         assert report.feasible
-        assert len(calls) <= 9185 + 1
+        assert len(complete_calls) <= 9185 + 1
+
+    def test_walk_stays_inside_each_component(self, complete_calls):
+        # components {a0, a1} and {a2, a3}, a4 free; a whole-row walk asks
+        # `complete` about credentials such as {a1=0, a3=0}
+        schema = AttributeSchema(
+            tuple(AttributeDef(f"a{i}", ("0", "1", "2")) for i in range(5))
+        )
+        hard = frozenset(
+            [Credential(((0, 0), (1, x))) for x in range(3)]
+            + [Credential(((2, x), (3, 0))) for x in range(2)]
+        )
+        report = check_feasibility(schema, ConstraintSet(hard=hard), 2)
+        assert report.implicit_hard == frozenset({Credential(((0, 0),))})
+        assert complete_calls
+        for fixed in complete_calls:
+            assert set(fixed) <= {0, 1} or set(fixed) <= {2, 3}
+
+
+@pytest.fixture
+def complete_calls(monkeypatch):
+    """The `fixed` cells of every `complete` call made through the module."""
+    calls = []
+    real = constraints_mod.complete
+
+    def counted(schema, hard, fixed):
+        calls.append(fixed)
+        return real(schema, hard, fixed)
+
+    monkeypatch.setattr(constraints_mod, "complete", counted)
+    return calls
 
 
 class TestRowLowerBound:
