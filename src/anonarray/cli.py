@@ -20,6 +20,7 @@ from . import homogeneity as hom
 from . import verify as verify_mod
 from .constraints import EMPTY_CONSTRAINTS, check_feasibility
 from .errors import (
+    NO_LEGAL_ROW,
     AnonArrayError,
     BudgetExceededError,
     InfeasibleError,
@@ -256,6 +257,8 @@ def cmd_constraints_derive(args) -> int:
     constraints, _ = load_constraints(args.constraints, schema)
     report = check_feasibility(schema, constraints, args.t)
     derived = report.implicit_hard
+    # an infeasible report without a witness has no legal row at all
+    no_legal_row = not report.feasible and not report.witnesses
     if args.json:
         doc = {
             "format_version": FORMAT_VERSION,
@@ -267,6 +270,8 @@ def cmd_constraints_derive(args) -> int:
                 for c, reason in report.witnesses
             ],
         }
+        if no_legal_row:
+            doc["reason"] = NO_LEGAL_ROW
         print(json.dumps(doc, indent=2))
     else:
         if derived:
@@ -278,6 +283,8 @@ def cmd_constraints_derive(args) -> int:
         print(f"feasible: {'yes' if report.feasible else 'no'}")
         for c, reason in report.witnesses:
             print(f"  {c.render(schema)}: {reason}")
+        if no_legal_row:
+            print(f"  {NO_LEGAL_ROW}")
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
 

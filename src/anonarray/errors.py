@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 
+# Why a constraint system with no witness credential is infeasible.
+NO_LEGAL_ROW = "no row avoids every hard constraint"
+
+
 class AnonArrayError(Exception):
     """Base class for all package errors."""
 
@@ -48,7 +52,7 @@ class InfeasibleError(AnonArrayError):
         )
         super().__init__(
             "constraint system is infeasible: "
-            + (found or "no row avoids every hard constraint")
+            + (found or NO_LEGAL_ROW)
         )
 
 

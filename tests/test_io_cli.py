@@ -476,6 +476,30 @@ class TestCliConstraintsDerive:
         assert code == 0
         assert doc["feasible"] is True
 
+    def test_no_legal_row_gives_the_reason(self, capsys):
+        argv = [
+            "constraints-derive",
+            FIXTURES / "binary3_schema.json",
+            FIXTURES / "no_legal_row_constraints.json",
+            "--t",
+            "2",
+        ]
+        code, out, _ = run(capsys, *argv)
+        assert code == 5
+        assert out == (
+            "implicit hard constraints:\n"
+            "  {(a3, 0)}\n"
+            "  {(a3, 1)}\n"
+            "feasible: no\n"
+            "  no row avoids every hard constraint\n"
+        )
+        code, out, _ = run(capsys, *argv, "--json")
+        doc = json.loads(out)
+        assert code == 5
+        assert doc["feasible"] is False
+        assert doc["witnesses"] == []
+        assert doc["reason"] == "no row avoids every hard constraint"
+
     @pytest.mark.parametrize("t", ["0", "-1"])
     def test_t_out_of_range_exit_1(self, capsys, t):
         code, out, err = run(
