@@ -196,12 +196,10 @@ def _components(
     members: Dict[int, List[Credential]] = {}
     for h in hard:
         members.setdefault(find(h.attributes[0]), []).append(h)
+    # components share no attribute, so the sort never compares the lists
     return sorted(
-        (
-            (tuple(sorted({a for h in group for a in h.attributes})), group)
-            for group in members.values()
-        ),
-        key=lambda component: component[0],
+        (tuple(sorted({a for h in group for a in h.attributes})), group)
+        for group in members.values()
     )
 
 
@@ -249,20 +247,15 @@ def check_feasibility(
     """Is there a legal row, and can every unconstrained size-t credential
     appear in one?
 
-    Legal rows are the product of the legal assignments of each component
-    of the hard constraints (see `_components`), with every other
-    attribute free.  So a credential extends exactly when its part in
-    every component does, and every minimal implicit hard constraint lies
-    inside one component.  Each component's credentials of size
+    Inside each component of the hard constraints (see `_components`, and
+    the module docstring for why this is exact), the credentials of size
     1..min(t, its size) are walked by size, column set and values.  A
     credential containing one already derived is blocked.  Any other
     extends when the component's smallest legal assignment with its cells
-    written over it is still legal, or else when `complete`, given the
-    component's hard constraints only, finds a row.  The first test is
-    cheap and settles most credentials, which keeps a component holding
-    most attributes affordable (see the module docstring).  One that does
-    not extend and contains no hard constraint is a new minimal implicit
-    hard constraint.
+    written over it is still legal, a cheap test that settles most
+    credentials, or else when `complete`, given the component's hard
+    constraints only, finds a row.  One that does not extend and contains
+    no hard constraint is a new minimal implicit hard constraint.
 
     When some component has no legal assignment, no row is legal: every
     (attribute, value) pair that is not itself hard is derived and the
