@@ -13,6 +13,7 @@ from anonarray import (
     ConstraintSet,
     ConstructionConfig,
     Credential,
+    HomogeneityReport,
     InfeasibleError,
     check_feasibility,
     classify,
@@ -146,12 +147,40 @@ def test_duplicating_rows_doubles_r(array):
         assert compute_guarantee(doubled, t).r == 2 * compute_guarantee(array, t).r
 
 
-@given(arrays(max_n=16, max_k=5))
-@settings(max_examples=100, deadline=None)
-def test_local_homogeneity_matches_brute_force(array):
-    t = min(2, array.k)
-    assert list(local_homogeneity(array, t).local) == brute_force_local_homogeneity(
-        array, t
+@st.composite
+def duplicated_arrays(draw, max_k=5, max_n=16):
+    """A few distinct rows, each repeated, over domains of size 1-3, so
+    neighborhoods larger than 2 and isolated rows both occur."""
+    k = draw(st.integers(min_value=1, max_value=max_k))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    schema = AttributeSchema(
+        tuple(
+            AttributeDef(f"a{i + 1}", tuple(str(x) for x in range(v)))
+            for i, v in enumerate(sizes)
+        )
+    )
+    distinct = draw(
+        st.lists(
+            st.tuples(*(st.integers(0, v - 1) for v in sizes)), min_size=1, max_size=4
+        )
+    )
+    rows = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=max_n))
+    return AccessProfileArray(schema, tuple(rows))
+
+
+@given(st.one_of(arrays(max_n=16, max_k=5), duplicated_arrays()), st.data())
+@settings(max_examples=200, deadline=None)
+def test_local_homogeneity_matches_brute_force(array, data):
+    t = data.draw(st.integers(1, array.k), label="t")
+    expected = brute_force_local_homogeneity(array, t)
+    sentinel = math.comb(array.k, t)
+    assert local_homogeneity(array, t) == HomogeneityReport(
+        t=t,
+        local=tuple(expected),
+        min=min(expected),
+        max=max(expected),
+        global_score=sum(expected, Fraction(0)) / array.n_rows,
+        isolated=frozenset(i for i, x in enumerate(expected) if x == sentinel),
     )
 
 
