@@ -3,8 +3,10 @@
 Rows sharing a size-t credential form a neighborhood (a hyperedge).  The
 weight of a pair of rows on a credential is 1/|neighborhood| when both
 belong to it; closeness sums weights over all size-t credentials; local
-homogeneity averages a row's closeness over its distinct neighbors.  All
-arithmetic is exact (fractions); decimals appear only in rendering.
+homogeneity averages a row's closeness over its distinct neighbors.
+`local_homogeneity` groups the rows of each column set once, then sums a
+row's shares as one integer fraction and its degree from ORed bitmasks.
+All arithmetic is exact (fractions); decimals appear only in rendering.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Tuple
+from functools import reduce
+from operator import or_
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from .errors import InvalidParameterError
 from .model import (
@@ -44,6 +48,14 @@ class HomogeneityReport:
     isolated: FrozenSet[int]
 
 
+def _group(keys: Iterable[tuple]) -> Dict[tuple, List[int]]:
+    """Row indices by key (their value tuple on one column set), ascending."""
+    groups: Dict[tuple, List[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
+
+
 def neighborhoods(array: AccessProfileArray, t: int) -> List[Neighborhood]:
     """All neighborhoods, grouped by column set in lexicographic order.
 
@@ -54,9 +66,7 @@ def neighborhoods(array: AccessProfileArray, t: int) -> List[Neighborhood]:
         raise InvalidParameterError(f"t={t} out of range for k={array.k}")
     out: List[Neighborhood] = []
     for cols in enumerate_column_sets(array.k, t):
-        groups: Dict[tuple, List[int]] = {}
-        for i, values in enumerate(map(_projector(cols), array.rows)):
-            groups.setdefault(values, []).append(i)
+        groups = _group(map(_projector(cols), array.rows))
         for values in sorted(groups):
             out.append(
                 Neighborhood(
@@ -105,41 +115,41 @@ def closeness_matrix(array: AccessProfileArray, t: int) -> List[List[Fraction]]:
 def local_homogeneity(array: AccessProfileArray, t: int) -> HomogeneityReport:
     """Per-row homogeneity via the neighborhood accumulation shortcut.
 
-    Each credential of row i with neighborhood size m contributes
-    (m - 1)/m; the sum is divided by the number of distinct neighbors,
-    counted from an int bitmask of the rows sharing any credential with i.
-    Isolated rows receive the sentinel C(k, t) and are listed separately.
+    Row i's C(k, t) neighborhoods, of sizes m, give sum((m - 1)/m) as one
+    integer fraction over L = lcm(m), divided by its degree: the popcount
+    of the OR of its group bitmasks, minus one.  Isolated rows receive the
+    sentinel C(k, t) and are listed separately.
     """
     if not 1 <= t <= array.k:
         raise InvalidParameterError(f"t={t} out of range for k={array.k}")
-    n = array.n_rows
-    accum = [Fraction(0)] * n
-    masks = [0] * n
-    for nb in neighborhoods(array, t):
-        m = len(nb.members)
-        share = Fraction(m - 1, m)
-        bits = sum(1 << i for i in nb.members)
-        for i in nb.members:
-            accum[i] += share
-            masks[i] |= bits
+    sizes, masks = [], []
+    for cols in enumerate_column_sets(array.k, t):
+        keys = list(map(_projector(cols), array.rows))
+        # a row alone in its group gains no neighbor: mask 0, not up to N bits
+        size_of, mask_of = {}, {}
+        for key, members in _group(keys).items():
+            size_of[key] = m = len(members)
+            mask_of[key] = reduce(or_, map((1).__lshift__, members)) if m > 1 else 0
+        sizes.append(list(map(size_of.__getitem__, keys)))
+        masks.append(list(map(mask_of.__getitem__, keys)))
 
     sentinel = Fraction(math.comb(array.k, t))
-    local: List[Fraction] = []
-    isolated = set()
-    for i in range(n):
-        degree = masks[i].bit_count() - 1
-        if degree:
-            local.append(accum[i] / degree)
+    local, isolated = [], set()
+    for i, (row_sizes, row_masks) in enumerate(zip(zip(*sizes), zip(*masks))):
+        union = reduce(or_, row_masks)
+        if union:
+            lcm = math.lcm(*row_sizes)
+            shares = lcm * len(row_sizes) - sum(map(lcm.__floordiv__, row_sizes))
+            local.append(Fraction(shares, lcm * (union.bit_count() - 1)))
         else:
             local.append(sentinel)
             isolated.add(i)
-    global_score = sum(local, Fraction(0)) / n
     return HomogeneityReport(
         t=t,
         local=tuple(local),
         min=min(local),
         max=max(local),
-        global_score=global_score,
+        global_score=sum(local, Fraction(0)) / array.n_rows,
         isolated=frozenset(isolated),
     )
 
