@@ -24,6 +24,7 @@ from .errors import (
     AnonArrayError,
     BudgetExceededError,
     InfeasibleError,
+    InvalidParameterError,
     ParseError,
 )
 from .io import (
@@ -156,6 +157,8 @@ def cmd_profile(args) -> int:
 
 
 def cmd_homogeneity(args) -> int:
+    if args.hypergraph_out and not args.hypergraph:
+        raise InvalidParameterError("--hypergraph-out needs --hypergraph FORMAT")
     schema, array, _, _ = _load_inputs(args)
     report = hom.local_homogeneity(array, args.t)
     if args.json:

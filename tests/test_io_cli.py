@@ -234,6 +234,23 @@ class TestCliHomogeneity:
         doc = json.loads(out_file.read_text())
         assert len(doc["edges"]) == 6
 
+    def test_hypergraph_out_without_format_is_rejected(self, capsys, tmp_path):
+        out_file = tmp_path / "graph.json"
+        code, out, err = run(
+            capsys,
+            "homogeneity",
+            FIXTURES / "binary3_schema.json",
+            FIXTURES / "halfspace_array.csv",
+            "--t",
+            "2",
+            "--hypergraph-out",
+            out_file,
+        )
+        assert code == 1
+        assert "--hypergraph" in err.replace("--hypergraph-out", "")
+        assert out == ""
+        assert not out_file.exists()
+
     def test_closeness_dump(self, capsys):
         code, out, _ = run(
             capsys,
