@@ -2,9 +2,13 @@
 pass/fail line.  Run with `pytest tests/test_acceptance.py -s`.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -306,3 +310,47 @@ def test_criterion_9_feasibility_cost_follows_components():
     assert report.implicit_hard == {Credential(((0, 0),))}
     assert len(report.witnesses) > len(reduced.witnesses)
     _report(9, started, 1.0, "k=32 v=4 t=3, 6 random hard pairs, then 4 planted")
+
+
+# Builds a seeded uniform array and scores it; prints the number of local
+# scores and the process's own peak resident set (ru_maxrss, KB on Linux).
+_HOMOGENEITY_WORKER = """
+import random, resource, sys
+from anonarray import (
+    AccessProfileArray, AttributeDef, AttributeSchema, local_homogeneity
+)
+seed, n, k, v, t = map(int, sys.argv[1:])
+rnd = random.Random(seed)
+schema = AttributeSchema(
+    tuple(AttributeDef(f"a{i + 1}", tuple(str(x) for x in range(v))) for i in range(k))
+)
+rows = tuple(tuple(rnd.randrange(v) for _ in range(k)) for _ in range(n))
+report = local_homogeneity(AccessProfileArray(schema, rows), t)
+print(len(report.local), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+# An exec'd process starts with the peak resident set of the process that
+# started it, here the test runner; a small launcher in between keeps the
+# worker's ru_maxrss its own.
+_LAUNCHER = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+
+
+def test_criterion_10_homogeneity_memory_is_linear_in_rows():
+    # N=20000, k=10, v=3, t=2: one N-bit mask per row would hold 50 MB alone
+    n, budget_mb = 20000, 80
+    src = Path(__file__).resolve().parent.parent / "src"
+    worker = [sys.executable, "-c", _HOMOGENEITY_WORKER, str(CORPUS_SEED), str(n)]
+    started = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, *worker, "10", "3", "2"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    scored, maxrss_kb = map(int, proc.stdout.split())
+    assert scored == n
+    peak_mb = maxrss_kb / 1024
+    assert peak_mb <= budget_mb, f"peak RSS {peak_mb:.1f} MB over {budget_mb} MB"
+    _report(10, started, 60.0, f"N={n} k=10 v=3 t=2, peak RSS {peak_mb:.1f} MB")
