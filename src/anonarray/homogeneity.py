@@ -125,7 +125,7 @@ def local_homogeneity(array: AccessProfileArray, t: int) -> HomogeneityReport:
     sizes, masks = [], []
     for cols in enumerate_column_sets(array.k, t):
         keys = list(map(_projector(cols), array.rows))
-        # a row alone in its group gains no neighbor: mask 0, not up to N bits
+        # one size int and one mask per group, shared by its rows; 0 for a lone row
         size_of, mask_of = {}, {}
         for key, members in _group(keys).items():
             size_of[key] = m = len(members)

@@ -335,10 +335,11 @@ print(len(report.local), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 _LAUNCHER = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
 
 
-def test_criterion_10_homogeneity_memory_is_linear_in_rows():
+def test_criterion_10_homogeneity_at_the_documented_limit():
     # N=20000, k=10, v=3, t=2: one N-bit mask per row would hold 50 MB alone
     n, budget_mb = 20000, 80
     src = Path(__file__).resolve().parent.parent / "src"
+    # the worker reads seed, N, k, v, t
     worker = [sys.executable, "-c", _HOMOGENEITY_WORKER, str(CORPUS_SEED), str(n)]
     started = time.monotonic()
     proc = subprocess.run(
