@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import InvalidParameterError, SearchBudgetError
-from .model import AttributeSchema, Credential, Row, enumerate_column_sets
+from .model import AttributeSchema, ColumnSet, Credential, Row, enumerate_column_sets
 
 HARD = "hard"
 SOFT = "soft"
@@ -117,6 +117,37 @@ def classify(credential: Credential, constraints: ConstraintSet) -> str:
         if credential.contains(d):
             return DONT_CARE
     return UNCONSTRAINED
+
+
+def kinds_on(
+    schema: AttributeSchema, constraints: ConstraintSet, cols: ColumnSet
+) -> Dict[Row, str]:
+    """The constrained value tuples on one sorted column set, each with the
+    kind `classify` gives it; every tuple not in the map is unconstrained."""
+    inside = set(cols)
+
+    def holding(c: Credential) -> Iterable[Row]:
+        """The value tuples on `cols` that contain `c`; none when `c` has
+        an attribute outside them."""
+        fixed = dict(c.pairs)
+        if not fixed.keys() <= inside:
+            return ()
+        return itertools.product(
+            *((fixed[a],) if a in fixed else range(schema.sizes[a]) for a in cols)
+        )
+
+    kinds: Dict[Row, str] = {}
+    # later writes win: hard over soft over don't-care
+    for d in constraints.dont_care:
+        for values in holding(d):
+            kinds[values] = DONT_CARE
+    for s in constraints.soft:
+        if s.attributes == cols:
+            kinds[tuple(v for _, v in s.pairs)] = SOFT
+    for h in constraints.hard:
+        for values in holding(h):
+            kinds[values] = HARD
+    return kinds
 
 
 def _within(credential: Credential, cells: Dict[int, int]) -> bool:

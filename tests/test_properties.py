@@ -23,9 +23,10 @@ from anonarray import (
     derive_implicit_hard,
     global_homogeneity,
     local_homogeneity,
+    row_lower_bound,
     validate,
 )
-from anonarray.constraints import HARD, UNCONSTRAINED, complete
+from anonarray.constraints import HARD, UNCONSTRAINED, complete, kinds_on
 from anonarray.construct import _credential_kinds, _State
 
 from oracles import (
@@ -215,8 +216,8 @@ def test_classify_closed_under_hard_supersets(case):
 
 @st.composite
 def constraint_systems(draw):
-    """A small schema, t, and hard constraints of every size 1..k (so some
-    are larger than t) beside soft and don't-care ones of size <= t."""
+    """A small schema, t, and constraints of all three kinds at every size
+    1..k, so some of each kind are larger than t."""
     schema = draw(schemas(max_k=4, max_v=3))
     t = draw(st.integers(1, schema.k))
 
@@ -235,9 +236,32 @@ def constraint_systems(draw):
         return {credential(draw(st.integers(1, high))) for _ in range(n)}
 
     hard = some(6, schema.k)
-    soft = some(2, t) - hard
-    dont_care = some(2, t) - hard - soft
+    soft = some(2, schema.k) - hard
+    dont_care = some(2, schema.k) - hard - soft
     return schema, t, ConstraintSet(hard=hard, soft=soft, dont_care=dont_care)
+
+
+@given(constraint_systems(), st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_kinds_on_matches_classify(case, r):
+    schema, t, constraints = case
+    unconstrained = {}
+    for size in range(1, schema.k + 1):
+        for cols in itertools.combinations(range(schema.k), size):
+            kinds = kinds_on(schema, constraints, cols)
+            tuples = list(itertools.product(*(range(schema.sizes[c]) for c in cols)))
+            # only constrained tuples of this column set are in the map
+            assert kinds.keys() <= set(tuples)
+            assert UNCONSTRAINED not in kinds.values()
+            expected = [
+                classify(Credential(tuple(zip(cols, values))), constraints)
+                for values in tuples
+            ]
+            assert [kinds.get(values, UNCONSTRAINED) for values in tuples] == expected
+            unconstrained[cols] = expected.count(UNCONSTRAINED)
+    assert row_lower_bound(schema, constraints, r, t) == r * max(
+        n for cols, n in unconstrained.items() if len(cols) == t
+    )
 
 
 @st.composite
