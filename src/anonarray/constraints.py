@@ -1,13 +1,16 @@
 """Hard / soft / don't-care constraints, the row completer, the exact
 feasibility check, and the row-count lower bound.
 
-Classification rules:
+Classification rules, as `classify` states them for one credential:
   * a credential is hard when it is a superset of any hard constraint
     (hard constraints forbid every row that contains them);
   * soft and don't-care constraints match the counted credential itself,
     except that a superset of a don't-care credential is also don't-care
     (it can never be used in a policy either);
   * everything else is unconstrained.
+`kinds_on` applies them to a whole sorted column set: it maps only the
+constrained value tuples to their kinds, at a cost that follows the
+constraints inside the set, not v^t.  `classify` is its tested reference.
 
 A row is legal when it contains no hard constraint, whatever the
 constraint's size.  `complete` is the one answer to "does this partial
@@ -43,6 +46,7 @@ their counts from their size-t extensions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
@@ -124,29 +128,16 @@ def kinds_on(
 ) -> Dict[Row, str]:
     """The constrained value tuples on one sorted column set, each with the
     kind `classify` gives it; every tuple not in the map is unconstrained."""
-    inside = set(cols)
-
-    def holding(c: Credential) -> Iterable[Row]:
-        """The value tuples on `cols` that contain `c`; none when `c` has
-        an attribute outside them."""
-        fixed = dict(c.pairs)
-        if not fixed.keys() <= inside:
-            return ()
-        return itertools.product(
-            *((fixed[a],) if a in fixed else range(schema.sizes[a]) for a in cols)
-        )
-
+    domains = [range(schema.sizes[a]) for a in cols]
     kinds: Dict[Row, str] = {}
     # later writes win: hard over soft over don't-care
-    for d in constraints.dont_care:
-        for values in holding(d):
-            kinds[values] = DONT_CARE
-    for s in constraints.soft:
-        if s.attributes == cols:
-            kinds[tuple(v for _, v in s.pairs)] = SOFT
-    for h in constraints.hard:
-        for values in holding(h):
-            kinds[values] = HARD
+    groups = constraints.dont_care, constraints.soft, constraints.hard
+    for kind, group in zip((DONT_CARE, SOFT, HARD), groups):
+        for c in group:
+            fixed = {a: (v,) for a, v in c.pairs}
+            if fixed.keys() <= set(cols) and (kind != SOFT or len(c) == len(cols)):
+                for values in itertools.product(*map(fixed.get, cols, domains)):
+                    kinds[values] = kind
     return kinds
 
 
@@ -293,7 +284,8 @@ def check_feasibility(
     report is infeasible, with or without a witness.
 
     The witnesses are the size-t credentials that contain a derived one
-    and that `classify` calls unconstrained, by column set and values.
+    and that are unconstrained (in no `kinds_on` map), by column set and
+    values.
     Each reason names the first derived credential, by size, column set
     and values, that the witness contains.
     """
@@ -316,21 +308,23 @@ def check_feasibility(
             for x in range(schema.sizes[a])
             if (single := Credential(((a, x),))) not in constraints.hard
         ]
-    causes: Dict[Tuple[Tuple[int, int], ...], Credential] = {}
+    causes: Dict[Tuple[ColumnSet, Row], Credential] = {}
     for d in sorted(derived, key=_walk_key):
         others = [a for a in range(schema.k) if a not in d.attributes]
         for cols in itertools.combinations(others, t - len(d)):
             for values in itertools.product(*(range(schema.sizes[c]) for c in cols)):
-                causes.setdefault(tuple(sorted(d.pairs + tuple(zip(cols, values)))), d)
+                pairs = sorted(d.pairs + tuple(zip(cols, values)))
+                causes.setdefault(tuple(zip(*pairs)), d)
+    kinds = {cs: kinds_on(schema, constraints, cs) for cs in {cs for cs, _ in causes}}
     witnesses: List[Tuple[Credential, str]] = []
-    for cred in sorted(map(Credential, causes), key=_walk_key):
-        if classify(cred, constraints) == UNCONSTRAINED:
+    for cols, values in sorted(causes):
+        if values not in kinds[cols]:
             witnesses.append(
                 (
-                    cred,
+                    Credential(tuple(zip(cols, values))),
                     "unconstrained credential is unrealizable: every row "
                     f"containing it violates a hard constraint "
-                    f"(implied by {causes[cred.pairs].render(schema)})",
+                    f"(implied by {causes[cols, values].render(schema)})",
                 )
             )
     return FeasibilityReport(
@@ -353,16 +347,13 @@ def row_lower_bound(
 ) -> int:
     """r times the largest count of unconstrained size-t credentials on any
     single t-subset of attributes; a lower bound on N when every
-    unconstrained credential must appear."""
+    unconstrained credential must appear.  Per column set that count is
+    the product of its domain sizes less the size of its `kinds_on` map."""
     if r < 1:
         raise InvalidParameterError("r must be at least 1")
     constraints.validate_for(schema)
-    best = 0
-    for cols in enumerate_column_sets(schema.k, t):
-        count = 0
-        for values in itertools.product(*(range(schema.sizes[c]) for c in cols)):
-            cred = Credential(tuple(zip(cols, values)))
-            if classify(cred, constraints) == UNCONSTRAINED:
-                count += 1
-        best = max(best, count)
-    return r * best
+    return r * max(
+        math.prod(schema.sizes[c] for c in cols)
+        - len(kinds_on(schema, constraints, cols))
+        for cols in enumerate_column_sets(schema.k, t)
+    )

@@ -24,10 +24,11 @@ from .constraints import (
     DONT_CARE,
     HARD,
     SOFT,
+    UNCONSTRAINED,
     ConstraintSet,
     check_feasibility,
-    classify,
     complete,
+    kinds_on,
     row_lower_bound,
 )
 from .errors import BudgetExceededError, InfeasibleError, InvalidParameterError
@@ -91,9 +92,10 @@ def _credential_kinds(schema, constraints: ConstraintSet, t: int) -> Kinds:
     soft constraints smaller than t with their value tuples."""
     kinds: Kinds = []
     for cols in enumerate_column_sets(schema.k, t):
+        constrained = kinds_on(schema, constraints, cols)
         on_cols = {}
         for values in itertools.product(*(range(schema.sizes[c]) for c in cols)):
-            kind = classify(Credential(tuple(zip(cols, values))), constraints)
+            kind = constrained.get(values, UNCONSTRAINED)
             if kind not in (HARD, DONT_CARE):
                 on_cols[values] = kind
         kinds.append((cols, on_cols))

@@ -15,8 +15,9 @@ from .constraints import (
     DONT_CARE,
     EMPTY_CONSTRAINTS,
     SOFT,
+    UNCONSTRAINED,
     ConstraintSet,
-    classify,
+    kinds_on,
 )
 from .errors import InvalidParameterError
 from .model import (
@@ -101,17 +102,17 @@ def _scan(
     short: List[Tuple[Optional[ColumnSet], Credential, int, str]] = []
     for cols in column_sets:
         table = count_credentials(array, cols)
+        kinds = kinds_on(array.schema, constraints, cols)
         for values in sorted(table.counts):
-            cred = Credential(tuple(zip(cols, values)))
-            kind = classify(cred, constraints)
+            kind = kinds.get(values, UNCONSTRAINED)
             if kind == DONT_CARE:
                 continue
             count = table.counts[values]
             if best is None or count < best:
                 best = count
-                witness = (cols, cred, count)
+                witness = (cols, Credential(tuple(zip(cols, values))), count)
             if count < r_target:
-                short.append((cols, cred, count, kind))
+                short.append((cols, Credential(tuple(zip(cols, values))), count, kind))
 
     soft_appearances = []
     for s in sorted(constraints.soft):

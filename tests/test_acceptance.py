@@ -270,7 +270,8 @@ def test_criterion_7_construction_soundness():
 
 def test_criterion_9_feasibility_cost_follows_components():
     # k=32, v=4, t=3 has 317,440 size-3 credentials; six random hard pairs
-    # join at most 12 attributes, and the walk stays inside them
+    # join at most 12 attributes, and the walk stays inside them; the
+    # lower bound looks only at the constrained tuples of each column set
     rnd = random.Random(CORPUS_SEED + 3)
     schema = AttributeSchema(
         tuple(AttributeDef(f"a{i + 1}", tuple("0123")) for i in range(32))
@@ -285,6 +286,8 @@ def test_criterion_9_feasibility_cost_follows_components():
     for hard in (random_pairs, random_pairs + planted):
         constraints = ConstraintSet(hard=frozenset(hard))
         report = check_feasibility(schema, constraints, 3)
+        # some triple holds no hard pair, so all 4^3 of its tuples count
+        assert row_lower_bound(schema, constraints, 2, 3) == 2 * 4**3
         # the same system with the free attributes dropped
         kept = sorted({a for h in hard for a in h.attributes})
         index = {a: i for i, a in enumerate(kept)}

@@ -13,7 +13,6 @@ from anonarray import (
     Credential,
     InfeasibleError,
     InvalidParameterError,
-    classify,
     compute_guarantee,
     construct_padding,
     deficiency,
@@ -23,6 +22,7 @@ from anonarray import (
     suggest_credential_size,
     validate,
 )
+from anonarray.constraints import kinds_on
 from anonarray.io import load_constraints
 
 from conftest import FIXTURES, cred
@@ -241,15 +241,15 @@ class TestConstructPadding:
     ):
         calls = []
 
-        def counting_classify(credential, constraints):
-            calls.append(credential)
-            return classify(credential, constraints)
+        def counting_kinds_on(schema, constraints, cols):
+            calls.append(cols)
+            return kinds_on(schema, constraints, cols)
 
-        monkeypatch.setattr(construct_mod, "classify", counting_classify)
+        monkeypatch.setattr(construct_mod, "kinds_on", counting_kinds_on)
         config = ConstructionConfig(r_target=2, t=2, seed=0, restarts=3)
         construct_padding(None, ConstraintSet(), config, schema=binary3_schema)
-        # every size-t credential once: C(k, t) * v^t
-        assert len(calls) <= math.comb(3, 2) * 2**2
+        # every size-t column set once: C(k, t)
+        assert len(calls) <= math.comb(3, 2)
 
 
 class TestSuggestCredentialSize:
