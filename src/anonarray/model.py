@@ -15,8 +15,8 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
+from operator import add, itemgetter
+from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import InvalidParameterError
 
@@ -177,6 +177,11 @@ class AccessProfileArray:
     def k(self) -> int:
         return self.schema.k
 
+    @cached_property
+    def columns(self) -> Tuple[Tuple[int, ...], ...]:
+        """The cells by column: one tuple of value indices per attribute."""
+        return tuple(zip(*self.rows))
+
     def row_multiset(self) -> Counter:
         return Counter(self.rows)
 
@@ -206,6 +211,58 @@ def _projector(cols: ColumnSet) -> Callable[[Row], Row]:
         (c,) = cols
         return lambda row: (row[c],)
     return itemgetter(*cols)
+
+
+# Codes are decoded through a table of every value tuple while it has at
+# most this many entries, and digit by digit beyond it.
+_DECODE_TABLE_MAX = 4096
+
+
+def _decoder(radix: int, width: int) -> Callable[[int], Row]:
+    """Code -> the value tuple whose base-`radix` digits it holds."""
+    if radix**width <= _DECODE_TABLE_MAX:
+        return list(itertools.product(range(radix), repeat=width)).__getitem__
+
+    def decode(code: int) -> Row:
+        digits = []
+        for _ in range(width):
+            code, digit = divmod(code, radix)
+            digits.append(digit)
+        return tuple(reversed(digits))
+
+    return decode
+
+
+def _coded_counts(
+    array: AccessProfileArray, column_sets: Iterable[ColumnSet]
+) -> Iterator[Tuple[ColumnSet, Dict[Row, int]]]:
+    """(cols, {value tuple: count}) for each column set, in the given order.
+
+    A row's value tuple (x0, x1, ..., xl) on cols is counted as one int,
+    (...(x0·S + x1)·S + ...)·S + xl, with S the largest domain size, so
+    codes order like the tuples they stand for and each dict lists its
+    tuples in order of first appearance.  The codes of all columns but
+    the last, times S, are built once for each run of consecutive column
+    sets that share those columns, and only the current run's list is
+    held: with the k columns, N ints beyond the array.  Only the distinct
+    codes are decoded.
+    """
+    columns = array.columns
+    radix = max(array.schema.sizes)
+    decoders: Dict[int, Callable[[int], Row]] = {}
+    head, prefix = None, None
+    for cols in column_sets:
+        *first, last = cols
+        if first != head:
+            head, prefix = first, None
+            for c in first:
+                codes = columns[c] if prefix is None else map(add, prefix, columns[c])
+                prefix = list(map(radix.__mul__, codes))
+        codes = columns[last] if prefix is None else map(add, prefix, columns[last])
+        if len(cols) not in decoders:
+            decoders[len(cols)] = _decoder(radix, len(cols))
+        decode = decoders[len(cols)]
+        yield cols, {decode(code): n for code, n in Counter(codes).items()}
 
 
 def count_credentials(array: AccessProfileArray, column_set: Iterable[int]) -> CredentialCountTable:

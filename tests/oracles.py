@@ -7,11 +7,18 @@ straight from the weight definition.  Neither shares code paths with the
 library's scanning or accumulation shortcuts.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
 from anonarray import Credential
 from anonarray.constraints import DONT_CARE, HARD, SOFT, classify
+
+
+def brute_force_counts(array, cols):
+    """Rows per value tuple on `cols`, projecting every row to a tuple,
+    in order of first appearance."""
+    return Counter(tuple(row[c] for c in cols) for row in array.rows)
 
 
 def brute_force_guarantee(array, t, constraints):

@@ -3,7 +3,7 @@ import math
 import random
 from fractions import Fraction
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from anonarray import (
@@ -28,9 +28,11 @@ from anonarray import (
 )
 from anonarray.constraints import HARD, UNCONSTRAINED, complete, kinds_on
 from anonarray.construct import _credential_kinds, _State
+from anonarray.model import _DECODE_TABLE_MAX, _coded_counts
 
 from oracles import (
     brute_force_closeness_penalty,
+    brute_force_counts,
     brute_force_deficiency,
     brute_force_guarantee,
     brute_force_infeasible_credentials,
@@ -101,6 +103,65 @@ def test_validate_violations_match_brute_force(case, r_target):
     array, t, constraints = case
     got = validate(array, r_target, t, constraints).violations
     assert list(got) == brute_force_short_credentials(array, r_target, t, constraints)
+
+
+@st.composite
+def column_set_runs(draw):
+    """An array whose domain sizes differ per column, one-valued ones
+    included, and a list of column sets of one size t in 1..k: all of
+    them in lexicographic order, a sample in any order (repeats allowed,
+    so neighbours need not share a prefix), or each set reversed."""
+    k = draw(st.integers(1, 7))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    schema = AttributeSchema(
+        tuple(
+            AttributeDef(f"a{i + 1}", tuple(str(x) for x in range(v)))
+            for i, v in enumerate(sizes)
+        )
+    )
+    n = draw(st.integers(1, 24))
+    rows = tuple(
+        tuple(draw(st.integers(0, v - 1)) for v in sizes) for _ in range(n)
+    )
+    every = list(itertools.combinations(range(k), draw(st.integers(1, k))))
+    sets = draw(
+        st.one_of(
+            st.just(every),
+            st.lists(st.sampled_from(every), max_size=12),
+            st.just([cols[::-1] for cols in every]),
+        )
+    )
+    return AccessProfileArray(schema, rows), sets
+
+
+def _wide_run():
+    """k = t = 8 with domains of 3 and 4 values: 4^8 codes, past the
+    decode table, and every 7-subset besides."""
+    rnd = random.Random(8)
+    sizes = (3, 4, 3, 3, 2, 3, 1, 3)
+    schema = AttributeSchema(
+        tuple(
+            AttributeDef(f"a{i + 1}", tuple(str(x) for x in range(v)))
+            for i, v in enumerate(sizes)
+        )
+    )
+    rows = tuple(tuple(rnd.randrange(v) for v in sizes) for _ in range(40))
+    sets = [tuple(range(8)), *itertools.combinations(range(8), 7)]
+    assert max(sizes) ** 8 > _DECODE_TABLE_MAX
+    return AccessProfileArray(schema, rows), sets
+
+
+@given(column_set_runs())
+@example(_wide_run())
+@settings(max_examples=200, deadline=None)
+def test_coded_counts_match_projection(case):
+    array, sets = case
+    got = list(_coded_counts(array, sets))
+    assert [cols for cols, _ in got] == sets
+    for cols, counts in got:
+        expected = brute_force_counts(array, cols)
+        assert counts == expected
+        assert list(counts) == list(expected)
 
 
 @given(arrays())
