@@ -4,9 +4,11 @@ Values are stored internally as integer indices into each attribute's
 domain; string labels exist only at the I/O boundary.  All types are
 immutable after construction and every operation here is a pure function.
 
-`_projector` is the one place that projects a row onto a column set;
-counting here, neighborhood grouping in `homogeneity` and the running
-counts in `construct` all key rows by its value tuples.
+Bulk counting reads the array by column: `_coded_counts` turns each
+row's value tuple on a column set into one integer code and counts the
+codes, for `count_credentials` and `verify` alike.  `_projector` projects
+one row onto a column set; neighborhood grouping in `homogeneity` and the
+running counts in `construct` key rows by its value tuples.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add, itemgetter
-from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InvalidParameterError
 
@@ -266,15 +268,15 @@ def _coded_counts(
 
 
 def count_credentials(array: AccessProfileArray, column_set: Iterable[int]) -> CredentialCountTable:
-    """One pass over the rows, counting each value tuple on the given columns."""
+    """The rows holding each value tuple on the given columns."""
     cols = tuple(column_set)
     if not cols:
         raise InvalidParameterError("column set must be non-empty")
     for c in cols:
         if not 0 <= c < array.k:
             raise InvalidParameterError(f"column index {c} out of range")
-    counts = Counter(map(_projector(cols), array.rows))
-    return CredentialCountTable(column_set=cols, counts=dict(counts), total=array.n_rows)
+    (_, counts), = _coded_counts(array, [cols])
+    return CredentialCountTable(column_set=cols, counts=counts, total=array.n_rows)
 
 
 def credential_of_row(array: AccessProfileArray, row: int, column_set: Iterable[int]) -> Credential:
@@ -288,6 +290,17 @@ def credential_of_row(array: AccessProfileArray, row: int, column_set: Iterable[
     return Credential(tuple((c, array.rows[row][c]) for c in cols))
 
 
+def _rows_holding(array: AccessProfileArray, credential: Credential) -> List[int]:
+    """Ascending indices of the rows that contain the credential, found
+    column by column."""
+    (a, v), *rest = credential.pairs
+    rows = list(itertools.compress(itertools.count(), map(v.__eq__, array.columns[a])))
+    for a, v in rest:
+        column = array.columns[a]
+        rows = [i for i in rows if column[i] == v]
+    return rows
+
+
 def credential_count(array: AccessProfileArray, credential: Credential) -> int:
     """Number of rows containing the credential (any size up to k)."""
-    return sum(1 for row in array.rows if credential.contained_in_row(row))
+    return len(_rows_holding(array, credential))

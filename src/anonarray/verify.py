@@ -24,7 +24,8 @@ from .model import (
     AccessProfileArray,
     ColumnSet,
     Credential,
-    count_credentials,
+    _coded_counts,
+    _rows_holding,
     credential_count,
     enumerate_column_sets,
 )
@@ -68,13 +69,16 @@ def _check_inputs(array: AccessProfileArray, t: int, constraints: ConstraintSet)
 def _hard_violations(
     array: AccessProfileArray, t: int, constraints: ConstraintSet
 ) -> Tuple[Tuple[int, Credential], ...]:
-    out = []
-    active = sorted(h for h in constraints.hard if len(h) <= t)
-    for i, row in enumerate(array.rows):
-        for h in active:
-            if h.contained_in_row(row):
-                out.append((i, h))
-    return tuple(out)
+    """(row, hard constraint) for each active constraint a row holds, by row
+    and then by constraint."""
+    return tuple(
+        sorted(
+            (i, h)
+            for h in constraints.hard
+            if len(h) <= t
+            for i in _rows_holding(array, h)
+        )
+    )
 
 
 def _scan(
@@ -100,14 +104,13 @@ def _scan(
     best: Optional[int] = None
     witness: Optional[Tuple[ColumnSet, Credential, int]] = None
     short: List[Tuple[Optional[ColumnSet], Credential, int, str]] = []
-    for cols in column_sets:
-        table = count_credentials(array, cols)
+    for cols, counts in _coded_counts(array, column_sets):
         kinds = kinds_on(array.schema, constraints, cols)
-        for values in sorted(table.counts):
+        for values in sorted(counts):
             kind = kinds.get(values, UNCONSTRAINED)
             if kind == DONT_CARE:
                 continue
-            count = table.counts[values]
+            count = counts[values]
             if best is None or count < best:
                 best = count
                 witness = (cols, Credential(tuple(zip(cols, values))), count)
