@@ -84,6 +84,7 @@ def parse_array(text: str, schema: AttributeSchema, filename=None) -> AccessProf
             filename=filename,
             line=1,
         )
+    index = [{label: v for v, label in enumerate(a.values)} for a in schema.attributes]
     rows = []
     labels: List[str] = []
     for lineno, record in enumerate(reader, start=2):
@@ -99,19 +100,17 @@ def parse_array(text: str, schema: AttributeSchema, filename=None) -> AccessProf
                 filename=filename,
                 line=lineno,
             )
-        row = []
-        for j, label in enumerate(cells):
-            try:
-                row.append(schema.value_index(j, label))
-            except Exception:
-                raise ParseError(
-                    f"unknown value {label!r} for attribute "
-                    f"{schema.attributes[j].name!r}",
-                    filename=filename,
-                    line=lineno,
-                    column=j + (2 if has_id else 1),
-                )
-        rows.append(tuple(row))
+        row = tuple(map(dict.get, index, cells))
+        if None in row:
+            j = row.index(None)
+            raise ParseError(
+                f"unknown value {cells[j]!r} for attribute "
+                f"{schema.attributes[j].name!r}",
+                filename=filename,
+                line=lineno,
+                column=j + (2 if has_id else 1),
+            )
+        rows.append(row)
     if not rows:
         raise ParseError("array document has no data rows", filename=filename)
     return AccessProfileArray(

@@ -157,17 +157,26 @@ class AccessProfileArray:
             object.__setattr__(self, "row_labels", tuple(self.row_labels))
         if len(self.rows) < 1:
             raise InvalidParameterError("array must have at least one row")
-        k = self.schema.k
-        sizes = self.schema.sizes
-        for i, row in enumerate(self.rows):
-            if len(row) != k:
-                raise InvalidParameterError(f"row {i} has {len(row)} cells, expected {k}")
-            for j, cell in enumerate(row):
-                if not 0 <= cell < sizes[j]:
-                    raise InvalidParameterError(
-                        f"cell ({i}, {j}) index {cell} outside domain of "
-                        f"{self.schema.attributes[j].name!r}"
-                    )
+        rows, k = self.rows, self.schema.k
+        # the first fault in row order: a row of the wrong width, or a cell
+        # outside its domain in an earlier row or earlier in the same row
+        wide = next((i for i, row in enumerate(rows) if len(row) != k), len(rows))
+        columns = self.columns if wide == len(rows) else zip(*rows[:wide])
+        outside = [
+            (next(i for i, cell in enumerate(column) if not 0 <= cell < size), j)
+            for j, (column, size) in enumerate(zip(columns, self.schema.sizes))
+            if not 0 <= min(column) <= max(column) < size
+        ]
+        if outside:
+            i, j = min(outside)
+            raise InvalidParameterError(
+                f"cell ({i}, {j}) index {rows[i][j]} outside domain of "
+                f"{self.schema.attributes[j].name!r}"
+            )
+        if wide < len(rows):
+            raise InvalidParameterError(
+                f"row {wide} has {len(rows[wide])} cells, expected {k}"
+            )
         if self.row_labels is not None and len(self.row_labels) != len(self.rows):
             raise InvalidParameterError("row_labels length must equal row count")
 

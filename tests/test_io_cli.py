@@ -62,6 +62,34 @@ class TestDocuments:
         assert "Winter" in str(exc.value)
         assert "bad.csv" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "header, record, column",
+        [
+            ("", "faculty,tutor,CS,Fall", 2),
+            ("id,", "7,faculty,tutor,CS,Fall", 3),
+        ],
+    )
+    def test_first_unknown_label_named_exactly(self, schema, header, record, column):
+        text = (
+            f"{header}Role,Job,Department,Semester\n"
+            + ("7," if header else "")
+            + "graduate,grader,EE,Spring\n"
+            + f"{record[:-4]}Winter\n"
+        )
+        with pytest.raises(ParseError) as exc:
+            parse_array(text, schema, filename="bad.csv")
+        assert str(exc.value) == (
+            f"bad.csv, line 3, column {column}: "
+            "unknown value 'tutor' for attribute 'Job'"
+        )
+        assert (exc.value.line, exc.value.column) == (3, column)
+
+    def test_row_width_named_exactly(self, schema):
+        text = "Role,Job,Department,Semester\nfaculty,grader,CS\n"
+        with pytest.raises(ParseError) as exc:
+            parse_array(text, schema, filename="bad.csv")
+        assert str(exc.value) == "bad.csv, line 2: expected 4 value cells, found 3"
+
     def test_reordered_columns_rejected(self, schema):
         text = "Job,Role,Department,Semester\ninstructor,faculty,CS,Spring\n"
         with pytest.raises(ParseError):

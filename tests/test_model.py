@@ -52,6 +52,26 @@ class TestArray:
         with pytest.raises(InvalidParameterError):
             AccessProfileArray(binary3_schema, ((0, 0),))
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # the first bad cell in row order, not in column order
+            (
+                ((0, 0, 0), (0, 1, 2), (3, 0, 0)),
+                "cell (1, 2) index 2 outside domain of 'a3'",
+            ),
+            (((0, 0, 0), (0, -1, 5)), "cell (1, 1) index -1 outside domain of 'a2'"),
+            # a bad cell before a row of the wrong width is reported first
+            (((0, 0, 0), (0, 2, 0), (0, 0)), "cell (1, 1) index 2 outside domain of 'a2'"),
+            (((0, 0, 0), (0, 0), (0, 2, 0)), "row 1 has 2 cells, expected 3"),
+            (((0, 0, 0), (0, 0, 0, 0)), "row 1 has 4 cells, expected 3"),
+        ],
+    )
+    def test_first_fault_named_exactly(self, binary3_schema, rows, message):
+        with pytest.raises(InvalidParameterError) as exc:
+            AccessProfileArray(binary3_schema, rows)
+        assert str(exc.value) == message
+
     def test_duplicate_rows_permitted(self, binary3_schema):
         arr = AccessProfileArray(binary3_schema, ((0, 0, 0), (0, 0, 0)))
         assert arr.n_rows == 2
