@@ -88,9 +88,9 @@ def parse_array(text: str, schema: AttributeSchema, filename=None) -> AccessProf
     rows = []
     labels: List[str] = []
     for lineno, record in enumerate(reader, start=2):
-        if not record or all(not cell.strip() for cell in record):
+        cells = list(map(str.strip, record))
+        if not any(cells):
             continue
-        cells = [c.strip() for c in record]
         if has_id:
             labels.append(cells[0])
             cells = cells[1:]

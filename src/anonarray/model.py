@@ -16,9 +16,9 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from operator import add, itemgetter
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InvalidParameterError
 
@@ -224,56 +224,60 @@ def _projector(cols: ColumnSet) -> Callable[[Row], Row]:
     return itemgetter(*cols)
 
 
-# Codes are decoded through a table of every value tuple while it has at
-# most this many entries, and digit by digit beyond it.
+# Decoding tables hold at most this many value tuples; a wider code is
+# decoded a table's worth of digits at a time.
 _DECODE_TABLE_MAX = 4096
 
 
-def _decoder(radix: int, width: int) -> Callable[[int], Row]:
-    """Code -> the value tuple whose base-`radix` digits it holds."""
-    if radix**width <= _DECODE_TABLE_MAX:
-        return list(itertools.product(range(radix), repeat=width)).__getitem__
-
-    def decode(code: int) -> Row:
-        digits = []
-        for _ in range(width):
-            code, digit = divmod(code, radix)
-            digits.append(digit)
-        return tuple(reversed(digits))
-
-    return decode
+def _decoder(radix: int, width: int) -> Callable[[Collection[int]], Iterator[Row]]:
+    """Codes -> the value tuples whose base-`radix` digits they hold."""
+    digits = 1
+    while digits < width and radix ** (digits + 1) <= _DECODE_TABLE_MAX:
+        digits += 1
+    table = list(itertools.product(range(radix), repeat=digits)).__getitem__
+    if digits == width:
+        return partial(map, table)
+    lead, base = _decoder(radix, width - digits), radix**digits
+    return lambda codes: map(
+        add, lead(map(base.__rfloordiv__, codes)), map(table, map(base.__rmod__, codes))
+    )
 
 
 def _coded_counts(
     array: AccessProfileArray, column_sets: Iterable[ColumnSet]
 ) -> Iterator[Tuple[ColumnSet, Dict[Row, int]]]:
-    """(cols, {value tuple: count}) for each column set, in the given order.
+    """(cols, {value tuple: count}) for each column set, in the given order,
+    each dict sorted by value tuple.
 
     A row's value tuple (x0, x1, ..., xl) on cols is counted as one int,
     (...(x0·S + x1)·S + ...)·S + xl, with S the largest domain size, so
-    codes order like the tuples they stand for and each dict lists its
-    tuples in order of first appearance.  The codes of all columns but
-    the last, times S, are built once for each run of consecutive column
-    sets that share those columns, and only the current run's list is
-    held: with the k columns, N ints beyond the array.  Only the distinct
-    codes are decoded.
+    codes sort like the tuples they stand for and only the distinct codes
+    are decoded.  The codes of each leading run of columns, times S, are
+    kept while consecutive column sets share that run, so in
+    lexicographic order most sets cost one pass to count; beyond the k
+    columns this holds at most t - 1 lists of N ints.
     """
     columns = array.columns
     radix = max(array.schema.sizes)
-    decoders: Dict[int, Callable[[int], Row]] = {}
-    head, prefix = None, None
+    decoders: Dict[int, Callable[[Collection[int]], Iterator[Row]]] = {}
+    # levels[d]: the codes of the current head's first d + 1 columns, times S
+    head: ColumnSet = ()
+    levels: List[List[int]] = []
     for cols in column_sets:
-        *first, last = cols
-        if first != head:
-            head, prefix = first, None
-            for c in first:
-                codes = columns[c] if prefix is None else map(add, prefix, columns[c])
-                prefix = list(map(radix.__mul__, codes))
-        codes = columns[last] if prefix is None else map(add, prefix, columns[last])
+        keep = 0
+        while keep < min(len(head), len(cols) - 1) and head[keep] == cols[keep]:
+            keep += 1
+        del levels[keep:]
+        head = cols[:-1]
+        for c in head[keep:]:
+            codes = map(add, levels[-1], columns[c]) if levels else columns[c]
+            levels.append(list(map(radix.__mul__, codes)))
+        codes = map(add, levels[-1], columns[cols[-1]]) if levels else columns[cols[-1]]
         if len(cols) not in decoders:
             decoders[len(cols)] = _decoder(radix, len(cols))
-        decode = decoders[len(cols)]
-        yield cols, {decode(code): n for code, n in Counter(codes).items()}
+        counts = Counter(codes)
+        order = sorted(counts)
+        yield cols, dict(zip(decoders[len(cols)](order), map(counts.__getitem__, order)))
 
 
 def count_credentials(array: AccessProfileArray, column_set: Iterable[int]) -> CredentialCountTable:

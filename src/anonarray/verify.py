@@ -106,11 +106,10 @@ def _scan(
     short: List[Tuple[Optional[ColumnSet], Credential, int, str]] = []
     for cols, counts in _coded_counts(array, column_sets):
         kinds = kinds_on(array.schema, constraints, cols)
-        for values in sorted(counts):
+        for values, count in counts.items():
             kind = kinds.get(values, UNCONSTRAINED)
             if kind == DONT_CARE:
                 continue
-            count = counts[values]
             if best is None or count < best:
                 best = count
                 witness = (cols, Credential(tuple(zip(cols, values))), count)

@@ -16,8 +16,7 @@ from anonarray.constraints import DONT_CARE, HARD, SOFT, classify
 
 
 def brute_force_counts(array, cols):
-    """Rows per value tuple on `cols`, projecting every row to a tuple,
-    in order of first appearance."""
+    """Rows per value tuple on `cols`, projecting every row to a tuple."""
     return Counter(tuple(row[c] for c in cols) for row in array.rows)
 
 
