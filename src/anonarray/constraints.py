@@ -10,7 +10,9 @@ Classification rules, as `classify` states them for one credential:
   * everything else is unconstrained.
 `kinds_on` applies them to a whole sorted column set: it maps only the
 constrained value tuples to their kinds, at a cost that follows the
-constraints inside the set, not v^t.  `classify` is its tested reference.
+constraints inside the set, not v^t; a scan passes the tuples that
+appear, and the map then covers only those.  `classify` is its tested
+reference.
 
 A row is legal when it contains no hard constraint, whatever the
 constraint's size.  `complete` is the one answer to "does this partial
@@ -48,10 +50,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import InvalidParameterError, SearchBudgetError
-from .model import AttributeSchema, ColumnSet, Credential, Row, enumerate_column_sets
+from .model import (
+    AttributeSchema,
+    ColumnSet,
+    Credential,
+    Row,
+    _projector,
+    enumerate_column_sets,
+)
 
 HARD = "hard"
 SOFT = "soft"
@@ -124,20 +133,42 @@ def classify(credential: Credential, constraints: ConstraintSet) -> str:
 
 
 def kinds_on(
-    schema: AttributeSchema, constraints: ConstraintSet, cols: ColumnSet
+    schema: AttributeSchema,
+    constraints: ConstraintSet,
+    cols: ColumnSet,
+    among: Optional[Collection[Row]] = None,
 ) -> Dict[Row, str]:
     """The constrained value tuples on one sorted column set, each with the
-    kind `classify` gives it; every tuple not in the map is unconstrained."""
+    kind `classify` gives it; every tuple not in the map is unconstrained.
+
+    Given `among`, some value tuples on `cols` (those that appear in an
+    array, say), the map holds only tuples from it, and a constraint
+    smaller than `cols` costs one pass over them per distinct attribute
+    set instead of the product of the other columns' domain sizes."""
     domains = [range(schema.sizes[a]) for a in cols]
+    place = {a: p for p, a in enumerate(cols)}
+    # `among` by its values on each attribute set met so far
+    indexes: Dict[ColumnSet, Dict[Row, List[Row]]] = {}
     kinds: Dict[Row, str] = {}
     # later writes win: hard over soft over don't-care
     groups = constraints.dont_care, constraints.soft, constraints.hard
     for kind, group in zip((DONT_CARE, SOFT, HARD), groups):
         for c in group:
-            fixed = {a: (v,) for a, v in c.pairs}
-            if fixed.keys() <= set(cols) and (kind != SOFT or len(c) == len(cols)):
-                for values in itertools.product(*map(fixed.get, cols, domains)):
-                    kinds[values] = kind
+            attrs = c.attributes
+            if not place.keys() >= set(attrs) or (kind == SOFT and len(c) < len(cols)):
+                continue
+            if among is None:
+                fixed = {a: (v,) for a, v in c.pairs}
+                matches = itertools.product(*map(fixed.get, cols, domains))
+            else:
+                if attrs not in indexes:
+                    project = _projector(tuple(map(place.get, attrs)))
+                    index = indexes[attrs] = {}
+                    for values in among:
+                        index.setdefault(project(values), []).append(values)
+                matches = indexes[attrs].get(tuple(v for _, v in c.pairs), ())
+            for values in matches:
+                kinds[values] = kind
     return kinds
 
 

@@ -105,7 +105,7 @@ def _scan(
     witness: Optional[Tuple[ColumnSet, Credential, int]] = None
     short: List[Tuple[Optional[ColumnSet], Credential, int, str]] = []
     for cols, counts in _coded_counts(array, column_sets):
-        kinds = kinds_on(array.schema, constraints, cols)
+        kinds = kinds_on(array.schema, constraints, cols, counts)
         for values, count in counts.items():
             kind = kinds.get(values, UNCONSTRAINED)
             if kind == DONT_CARE:

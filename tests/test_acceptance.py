@@ -2,6 +2,7 @@
 pass/fail line.  Run with `pytest tests/test_acceptance.py -s`.
 """
 
+import itertools
 import os
 import random
 import subprocess
@@ -20,6 +21,7 @@ from anonarray import (
     ConstructionConfig,
     Credential,
     check_feasibility,
+    classify,
     compute_guarantee,
     construct_padding,
     derive_implicit_hard,
@@ -29,8 +31,13 @@ from anonarray import (
     row_lower_bound,
     validate,
 )
+from anonarray.constraints import DONT_CARE
 from conftest import cred
-from oracles import brute_force_guarantee, brute_force_local_homogeneity
+from oracles import (
+    brute_force_counts,
+    brute_force_guarantee,
+    brute_force_local_homogeneity,
+)
 
 CORPUS_SEED = 20260824
 
@@ -313,6 +320,28 @@ def test_criterion_9_feasibility_cost_follows_components():
     assert report.implicit_hard == {Credential(((0, 0),))}
     assert len(report.witnesses) > len(reduced.witnesses)
     _report(9, started, 1.0, "k=32 v=4 t=3, 6 random hard pairs, then 4 planted")
+
+
+def test_criterion_11_guarantee_cost_follows_the_appearing_tuples():
+    # N=50, k=10, v=6, t=7 with don't-care {a2=0}: expanding the constraint
+    # would write 6^6 kinds in each of the 84 column sets holding a2, while
+    # at most 50 tuples appear in each
+    rnd = random.Random(CORPUS_SEED + 11)
+    schema = AttributeSchema(
+        tuple(AttributeDef(f"a{i + 1}", tuple("012345")) for i in range(10))
+    )
+    rows = tuple(tuple(rnd.randrange(6) for _ in range(10)) for _ in range(50))
+    array = AccessProfileArray(schema, rows)
+    constraints = ConstraintSet(dont_care=frozenset({Credential(((1, 0),))}))
+    expected = min(
+        n
+        for cols in itertools.combinations(range(10), 7)
+        for values, n in brute_force_counts(array, cols).items()
+        if classify(Credential(tuple(zip(cols, values))), constraints) != DONT_CARE
+    )
+    started = time.monotonic()
+    assert compute_guarantee(array, 7, constraints).r == expected
+    _report(11, started, 0.1, "N=50 k=10 v=6 t=7, one don't-care pair")
 
 
 # Builds a seeded uniform array and scores it; prints the number of local

@@ -302,9 +302,9 @@ def constraint_systems(draw):
     return schema, t, ConstraintSet(hard=hard, soft=soft, dont_care=dont_care)
 
 
-@given(constraint_systems(), st.integers(1, 3))
+@given(constraint_systems(), st.integers(1, 3), st.randoms(use_true_random=False))
 @settings(max_examples=200, deadline=None)
-def test_kinds_on_matches_classify(case, r):
+def test_kinds_on_matches_classify(case, r, rnd):
     schema, t, constraints = case
     unconstrained = {}
     for size in range(1, schema.k + 1):
@@ -320,6 +320,13 @@ def test_kinds_on_matches_classify(case, r):
             ]
             assert [kinds.get(values, UNCONSTRAINED) for values in tuples] == expected
             unconstrained[cols] = expected.count(UNCONSTRAINED)
+            # restricted to some of the tuples, as a scan passes the appearing ones
+            among = rnd.sample(tuples, rnd.randint(0, len(tuples)))
+            assert kinds_on(schema, constraints, cols, among) == {
+                values: kind
+                for values, kind in zip(tuples, expected)
+                if values in among and kind != UNCONSTRAINED
+            }
     assert row_lower_bound(schema, constraints, r, t) == r * max(
         n for cols, n in unconstrained.items() if len(cols) == t
     )
