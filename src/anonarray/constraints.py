@@ -37,7 +37,7 @@ hard constraints touching them; when all 16 attributes of a 4-valued
 schema form one chain of 15 pairs at t=3, dropping that pre-test made
 the check 2.5-3 times slower.  When some component has no legal
 assignment, no row is legal, nothing extends, and every (attribute,
-value) pair that is not itself hard is derived.
+value) pair that is not itself hard is derived; no witness is listed.
 
 The appearance rule ("every unconstrained credential must appear r
 times") and hence feasibility and the lower bound are evaluated over
@@ -311,8 +311,9 @@ def check_feasibility(
     no hard constraint is a new minimal implicit hard constraint.
 
     When some component has no legal assignment, no row is legal: every
-    (attribute, value) pair that is not itself hard is derived and the
-    report is infeasible, with or without a witness.
+    (attribute, value) pair that is not itself hard is derived, and the
+    report is infeasible with no witness, since no credential is at fault
+    (listing every size-t extension would name all of them).
 
     The witnesses are the size-t credentials that contain a derived one
     and that are unconstrained (in no `kinds_on` map), by column set and
@@ -325,20 +326,22 @@ def check_feasibility(
     constraints.validate_for(schema)
     components = _components(constraints.hard)
     bases = [complete(schema, hard, {}) for _, hard in components]
-    legal = None not in bases
-    if legal:
-        derived = [
-            d
-            for (attrs, hard), base in zip(components, bases)
-            for d in _derive_in_component(schema, attrs, hard, base, t)
-        ]
-    else:
-        derived = [
-            single
-            for a in range(schema.k)
-            for x in range(schema.sizes[a])
-            if (single := Credential(((a, x),))) not in constraints.hard
-        ]
+    if None in bases:
+        return FeasibilityReport(
+            feasible=False,
+            implicit_hard=frozenset(
+                single
+                for a in range(schema.k)
+                for x in range(schema.sizes[a])
+                if (single := Credential(((a, x),))) not in constraints.hard
+            ),
+            witnesses=(),
+        )
+    derived = [
+        d
+        for (attrs, hard), base in zip(components, bases)
+        for d in _derive_in_component(schema, attrs, hard, base, t)
+    ]
     causes: Dict[Tuple[ColumnSet, Row], Credential] = {}
     for d in sorted(derived, key=_walk_key):
         others = [a for a in range(schema.k) if a not in d.attributes]
@@ -359,7 +362,7 @@ def check_feasibility(
                 )
             )
     return FeasibilityReport(
-        feasible=legal and not witnesses,
+        feasible=not witnesses,
         implicit_hard=frozenset(derived),
         witnesses=tuple(witnesses),
     )

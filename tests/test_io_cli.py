@@ -3,7 +3,13 @@ import json
 import pytest
 
 import anonarray.constraints as constraints_mod
-from anonarray import ParseError
+from anonarray import (
+    AttributeDef,
+    AttributeSchema,
+    ConstraintSet,
+    Credential,
+    ParseError,
+)
 from anonarray.cli import main
 from anonarray.io import (
     load_array,
@@ -544,6 +550,38 @@ class TestCliConstraintsDerive:
         assert doc["feasible"] is False
         assert doc["witnesses"] == []
         assert doc["reason"] == "no row avoids every hard constraint"
+
+    @pytest.mark.parametrize("command", ["constraints-derive", "construct"])
+    def test_no_legal_row_is_reported_briefly(self, capsys, tmp_path, command):
+        # k=16, v=4 with every value of a1 hard: listing each unrealizable
+        # size-3 credential as a witness printed 4.4 MB
+        schema = AttributeSchema(
+            tuple(AttributeDef(f"a{i + 1}", tuple("0123")) for i in range(16))
+        )
+        hard = frozenset(Credential(((0, x),)) for x in range(4))
+        (tmp_path / "s.json").write_text(serialize_schema(schema))
+        (tmp_path / "c.json").write_text(
+            serialize_constraints(ConstraintSet(hard=hard), schema)
+        )
+        argv = [tmp_path / "s.json", tmp_path / "c.json", "--t", "3", "--json"]
+        if command == "construct":
+            argv = [argv[0], "-", *argv[1:], "--r", "2"]
+        code, out, err = run(capsys, command, *argv)
+        assert code == 5
+        assert len(out) + len(err) < 10_000
+        if command == "construct":
+            assert out == ""
+            assert err == (
+                "error: constraint system is infeasible: "
+                "no row avoids every hard constraint\n"
+            )
+        else:
+            doc = json.loads(out)
+            assert doc["feasible"] is False
+            assert doc["witnesses"] == []
+            assert doc["reason"] == "no row avoids every hard constraint"
+            # every pair but the four hard ones is an implicit hard constraint
+            assert len(doc["implicit_hard"]) == 16 * 4 - 4
 
     @pytest.mark.parametrize("t", ["0", "-1"])
     def test_t_out_of_range_exit_1(self, capsys, t):

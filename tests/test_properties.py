@@ -382,12 +382,17 @@ def test_feasibility_matches_brute_force(case):
     report = check_feasibility(schema, constraints, t)
     assert report.implicit_hard == minimal - constraints.hard
     assert derive_implicit_hard(schema, constraints, t) == report.implicit_hard
+    legal = any(
+        not any(h.contained_in_row(row) for h in constraints.hard)
+        for row in itertools.product(*(range(v) for v in schema.sizes))
+    )
+    # with no legal row every credential is unrealizable; none is a witness
     witnesses = [c for c, _ in report.witnesses]
     assert witnesses == sorted(
         (
             c
             for c in infeasible
-            if len(c) == t and classify(c, constraints) == UNCONSTRAINED
+            if legal and len(c) == t and classify(c, constraints) == UNCONSTRAINED
         ),
         key=_walk_key,
     )
@@ -396,10 +401,6 @@ def test_feasibility_matches_brute_force(case):
     for c, reason in report.witnesses:
         cause = next(d for d in derived if c.contains(d))
         assert reason.endswith(f"(implied by {cause.render(schema)})")
-    legal = any(
-        not any(h.contained_in_row(row) for h in constraints.hard)
-        for row in itertools.product(*(range(v) for v in schema.sizes))
-    )
     assert report.feasible == (legal and not report.witnesses)
 
 
