@@ -65,6 +65,10 @@ def cases():
                     "homogeneity", schema, array, "--t", str(t), "--json",
                     "--hypergraph", "json",
                 ]
+                out["homogeneity"][f"{_stem(array)}/t{t}/text"] = [
+                    "homogeneity", schema, array, "--t", str(t),
+                    "--hypergraph", "text",
+                ]
         for cons in constraint_files:
             for t in (1, 2, 3):
                 out["constraints-derive"][f"{_stem(cons)}/t{t}"] = [
