@@ -17,13 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import or_
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
 from .errors import InvalidParameterError
 from .model import (
     AccessProfileArray,
     ColumnSet,
     Credential,
+    Row,
     _projector,
     enumerate_column_sets,
 )
@@ -56,26 +57,31 @@ def _group(keys: Iterable[tuple]) -> Dict[tuple, List[int]]:
     return groups
 
 
+def _edges(array: AccessProfileArray, t: int) -> Iterator[Tuple[ColumnSet, Row, List[int]]]:
+    """(column set, value tuple, ascending member rows) of every
+    neighborhood, by column set in lexicographic order, then by values."""
+    if not 1 <= t <= array.k:
+        raise InvalidParameterError(f"t={t} out of range for k={array.k}")
+    for cols in enumerate_column_sets(array.k, t):
+        groups = _group(map(_projector(cols), array.rows))
+        for values in sorted(groups):
+            yield cols, values, groups[values]
+
+
 def neighborhoods(array: AccessProfileArray, t: int) -> List[Neighborhood]:
     """All neighborhoods, grouped by column set in lexicographic order.
 
     Multi-edges are preserved: the same member set may recur under
     different credentials.
     """
-    if not 1 <= t <= array.k:
-        raise InvalidParameterError(f"t={t} out of range for k={array.k}")
-    out: List[Neighborhood] = []
-    for cols in enumerate_column_sets(array.k, t):
-        groups = _group(map(_projector(cols), array.rows))
-        for values in sorted(groups):
-            out.append(
-                Neighborhood(
-                    column_set=cols,
-                    credential=Credential(tuple(zip(cols, values))),
-                    members=frozenset(groups[values]),
-                )
-            )
-    return out
+    return [
+        Neighborhood(
+            column_set=cols,
+            credential=Credential(tuple(zip(cols, values))),
+            members=frozenset(members),
+        )
+        for cols, values, members in _edges(array, t)
+    ]
 
 
 def weight(i: int, j: int, neighborhood: Neighborhood) -> Fraction:
@@ -101,8 +107,7 @@ def closeness_matrix(array: AccessProfileArray, t: int) -> List[List[Fraction]]:
     """Symmetric N x N closeness matrix with a zero diagonal."""
     n = array.n_rows
     matrix = [[Fraction(0)] * n for _ in range(n)]
-    for nb in neighborhoods(array, t):
-        members = sorted(nb.members)
+    for _, _, members in _edges(array, t):
         w = Fraction(1, len(members))
         for a in range(len(members)):
             for b in range(a + 1, len(members)):
@@ -177,8 +182,12 @@ def export_hypergraph(array: AccessProfileArray, t: int, format: str) -> str:
         raise InvalidParameterError(
             f"unknown hypergraph format {format!r}; expected one of {HYPERGRAPH_FORMATS}"
         )
-    schema = array.schema
-    edges = neighborhoods(array, t)
+    names = [a.name for a in array.schema.attributes]
+    labels = [a.values for a in array.schema.attributes]
+    edges = (
+        (e, [names[c] for c in cols], [labels[c][v] for c, v in zip(cols, values)], members)
+        for e, (cols, values, members) in enumerate(_edges(array, t))
+    )
     if format == "structured-json":
         doc = {
             "vertices": [
@@ -186,22 +195,15 @@ def export_hypergraph(array: AccessProfileArray, t: int, format: str) -> str:
                 for i in range(array.n_rows)
             ],
             "edges": [
-                {
-                    "id": e,
-                    "columns": [schema.attributes[c].name for c in nb.column_set],
-                    "values": [
-                        schema.attributes[a].values[v] for a, v in nb.credential.pairs
-                    ],
-                    "members": sorted(nb.members),
-                }
-                for e, nb in enumerate(edges)
+                {"id": e, "columns": columns, "values": values, "members": members}
+                for e, columns, values, members in edges
             ],
         }
         return json.dumps(doc, indent=2)
     lines = [f"vertices: {array.n_rows}"]
-    for e, nb in enumerate(edges):
-        members = ",".join(str(m) for m in sorted(nb.members))
-        cols = ",".join(schema.attributes[c].name for c in nb.column_set)
-        vals = ",".join(schema.attributes[a].values[v] for a, v in nb.credential.pairs)
-        lines.append(f"edge {e}: {{{members}}} columns={cols} values={vals}")
+    for e, columns, values, members in edges:
+        lines.append(
+            f"edge {e}: {{{','.join(map(str, members))}}} "
+            f"columns={','.join(columns)} values={','.join(values)}"
+        )
     return "\n".join(lines) + "\n"
