@@ -57,7 +57,9 @@ def _group(keys: Iterable[tuple]) -> Dict[tuple, List[int]]:
     return groups
 
 
-def _edges(array: AccessProfileArray, t: int) -> Iterator[Tuple[ColumnSet, Row, List[int]]]:
+def _edges(
+    array: AccessProfileArray, t: int
+) -> Iterator[Tuple[ColumnSet, Row, List[int]]]:
     """(column set, value tuple, ascending member rows) of every
     neighborhood, by column set in lexicographic order, then by values."""
     if not 1 <= t <= array.k:
@@ -185,7 +187,12 @@ def export_hypergraph(array: AccessProfileArray, t: int, format: str) -> str:
     names = [a.name for a in array.schema.attributes]
     labels = [a.values for a in array.schema.attributes]
     edges = (
-        (e, [names[c] for c in cols], [labels[c][v] for c, v in zip(cols, values)], members)
+        (
+            e,
+            [names[c] for c in cols],
+            [labels[c][v] for c, v in zip(cols, values)],
+            members,
+        )
         for e, (cols, values, members) in enumerate(_edges(array, t))
     )
     if format == "structured-json":

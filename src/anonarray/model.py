@@ -18,7 +18,17 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from operator import add, itemgetter
-from typing import Callable, Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Collection,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .errors import InvalidParameterError
 
@@ -160,8 +170,8 @@ class AccessProfileArray:
         rows, k = self.rows, self.schema.k
         # the first fault in row order: a row of the wrong width, or a cell
         # outside its domain in an earlier row or earlier in the same row
-        wide = next((i for i, row in enumerate(rows) if len(row) != k), len(rows))
-        columns = self.columns if wide == len(rows) else zip(*rows[:wide])
+        misfit = next((i for i, row in enumerate(rows) if len(row) != k), len(rows))
+        columns = self.columns if misfit == len(rows) else zip(*rows[:misfit])
         outside = [
             (next(i for i, cell in enumerate(column) if not 0 <= cell < size), j)
             for j, (column, size) in enumerate(zip(columns, self.schema.sizes))
@@ -173,9 +183,9 @@ class AccessProfileArray:
                 f"cell ({i}, {j}) index {rows[i][j]} outside domain of "
                 f"{self.schema.attributes[j].name!r}"
             )
-        if wide < len(rows):
+        if misfit < len(rows):
             raise InvalidParameterError(
-                f"row {wide} has {len(rows[wide])} cells, expected {k}"
+                f"row {misfit} has {len(rows[misfit])} cells, expected {k}"
             )
         if self.row_labels is not None and len(self.row_labels) != len(self.rows):
             raise InvalidParameterError("row_labels length must equal row count")
@@ -272,16 +282,16 @@ def _coded_counts(
         for c in head[keep:]:
             codes = map(add, levels[-1], columns[c]) if levels else columns[c]
             levels.append(list(map(radix.__mul__, codes)))
-        codes = map(add, levels[-1], columns[cols[-1]]) if levels else columns[cols[-1]]
+        last = columns[cols[-1]]
+        counts = Counter(map(add, levels[-1], last) if levels else last)
         if len(cols) not in decoders:
             decoders[len(cols)] = _decoder(radix, len(cols))
-        counts = Counter(codes)
         order = sorted(counts)
         yield cols, dict(zip(decoders[len(cols)](order), map(counts.__getitem__, order)))
 
 
 def count_credentials(array: AccessProfileArray, column_set: Iterable[int]) -> CredentialCountTable:
-    """The rows holding each value tuple on the given columns."""
+    """How many rows hold each value tuple on the given columns, by tuple."""
     cols = tuple(column_set)
     if not cols:
         raise InvalidParameterError("column set must be non-empty")
