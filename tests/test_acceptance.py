@@ -387,3 +387,51 @@ def test_criterion_10_homogeneity_at_the_documented_limit():
     peak_mb = maxrss_kb / 1024
     assert peak_mb <= budget_mb, f"peak RSS {peak_mb:.1f} MB over {budget_mb} MB"
     _report(10, started, 60.0, f"N={n} k=10 v=3 t=2, peak RSS {peak_mb:.1f} MB")
+
+
+# Pads a base of 20000 copies of one seeded row plus 30 seeded random rows
+# (k=8, v=3, t=3, r=2, homogeneity weight 1/2, no restarts); prints the
+# padding count, the achieved r and the process's own peak resident set.
+_HEAVY_BASE_WORKER = """
+import random, resource, sys
+from fractions import Fraction
+from anonarray import (
+    AccessProfileArray, AttributeDef, AttributeSchema, ConstraintSet,
+    ConstructionConfig, construct_padding,
+)
+seed, copies = map(int, sys.argv[1:])
+rnd = random.Random(seed)
+schema = AttributeSchema(
+    tuple(AttributeDef(f"a{i + 1}", ("0", "1", "2")) for i in range(8))
+)
+heavy = tuple(rnd.randrange(3) for _ in range(8))
+rows = [heavy] * copies + [tuple(rnd.randrange(3) for _ in range(8)) for _ in range(30)]
+config = ConstructionConfig(
+    r_target=2, t=3, seed=1, restarts=0, homogeneity_weight=Fraction(1, 2)
+)
+result = construct_padding(AccessProfileArray(schema, rows), ConstraintSet(), config)
+print(result.padding_count, result.achieved.r,
+      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_criterion_12_construct_over_a_heavy_base():
+    # counts met run from 0 to 20000: ranking keys must scale by the lcm of
+    # the counts met, not of every count up to the largest
+    copies, budget_mb = 20000, 40
+    src = Path(__file__).resolve().parent.parent / "src"
+    worker = [sys.executable, "-c", _HEAVY_BASE_WORKER, str(CORPUS_SEED), str(copies)]
+    started = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, *worker],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    padding, achieved, maxrss_kb = map(int, proc.stdout.split())
+    assert padding > 0 and achieved >= 2
+    peak_mb = maxrss_kb / 1024
+    assert peak_mb <= budget_mb, f"peak RSS {peak_mb:.1f} MB over {budget_mb} MB"
+    _report(12, started, 5.0, f"{copies} + 30 rows k=8 v=3 t=3, peak RSS {peak_mb:.1f} MB")
