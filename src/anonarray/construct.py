@@ -18,6 +18,7 @@ from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import neg
 from typing import Dict, List, Optional, Tuple
 
 from .constraints import (
@@ -117,7 +118,7 @@ class _State:
     value tuples, and scoring a candidate takes one lookup per column set.
     """
 
-    def __init__(self, kinds: Kinds, constraints, t: int, r_target: int, rows):
+    def __init__(self, kinds: Kinds, constraints, t: int, r_target: int, base):
         self.r_target = r_target
         self.rows: List[Row] = []
         self.columns, self.kinds = zip(*kinds)
@@ -139,7 +140,7 @@ class _State:
             for s in sorted(constraints.soft)
             if len(s) <= t
         ]
-        for row in rows:
+        for row in base.rows if base else ():
             self.append(row)
 
     def append(self, row: Row) -> None:
@@ -161,6 +162,15 @@ class _State:
                     insort(self.targets, (cols, values))
             elif before:
                 del self.targets[bisect_left(self.targets, (cols, values))]
+
+    def keys(self, candidates: List[Row], hw: Fraction):
+        """Scores of the candidates, with scale 1 and offset 0."""
+        return [self.score(row, hw) for row in candidates], 1, 0
+
+    def best(self, candidates: List[Row], hw: Fraction) -> Row:
+        """The highest-scoring candidate, and the smallest row among equals."""
+        keys, _, _ = self.keys(candidates, hw)
+        return min(zip(map(neg, keys), candidates))[1]
 
     def score(self, row: Row, hw: Fraction):
         """How many deficient credentials the row contains, less hw times the
@@ -204,7 +214,7 @@ def deficiency(
     if not feasibility.feasible:
         raise InfeasibleError(feasibility, array.schema)
     kinds = _credential_kinds(array.schema, constraints, t)
-    return _State(kinds, constraints, t, r_target, list(array.rows)).deficiency()
+    return _State(kinds, constraints, t, r_target, array).deficiency()
 
 
 def _violates_hard(row: Row, constraints: ConstraintSet) -> bool:
@@ -244,13 +254,13 @@ def _fill_row(
 
 def _run_attempt(
     schema,
-    base_rows: List[Row],
+    base: Optional[AccessProfileArray],
     constraints: ConstraintSet,
     kinds: Kinds,
     config: ConstructionConfig,
     rng: random.Random,
 ) -> Tuple[List[Row], List[Tuple[Row, int]]]:
-    state = _State(kinds, constraints, config.t, config.r_target, base_rows)
+    state = _State(kinds, constraints, config.t, config.r_target, base)
     trace: List[Tuple[Row, int]] = []
     hw = config.homogeneity_weight
     while state.targets:
@@ -267,8 +277,7 @@ def _run_attempt(
             raise BudgetExceededError(
                 partial_rows=list(state.rows), remaining=state.deficiency()
             )
-        # the highest score wins, and the smallest row among equals
-        best_row = min(candidates, key=lambda row: (-state.score(row, hw), row))
+        best_row = state.best(list(candidates), hw)
         state.append(best_row)
         trace.append((best_row, state.total))
     return state.rows, trace
@@ -311,7 +320,7 @@ def construct_padding(
         rng = random.Random((config.seed + attempt * _SEED_STRIDE) % 2**64)
         try:
             results.append(
-                _run_attempt(schema, base_rows, constraints, kinds, config, rng)
+                _run_attempt(schema, base, constraints, kinds, config, rng)
             )
         except BudgetExceededError as exc:
             errors.append(exc)

@@ -477,11 +477,37 @@ def padding_cases(draw):
     return schema, t, draw(st.integers(1, 4)), constraints, rows, candidates
 
 
-@given(padding_cases(), st.fractions(0, 1))
+# the weights the CLI is most often given, then any in [0, 1]
+WEIGHTS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]),
+    st.fractions(0, 1),
+)
+
+
+def check_ranking(state, rows, expected, candidates, weight, t):
+    """Every candidate's exact score, recovered from its integer key, is the
+    number of deficient credentials it holds less weight times its
+    closeness penalty over `rows`; the row picked is the oracle's smallest
+    (-score, row)."""
+    scores = [
+        sum(1 for _, cred in expected if cred.contained_in_row(cand))
+        - weight * brute_force_closeness_penalty(rows, cand, t)
+        for cand in candidates
+    ]
+    keys, scale, offset = state.keys(candidates, weight)
+    assert scale > 0
+    assert [Fraction(key - offset, scale) for key in keys] == scores
+    assert state.best(candidates, weight) == min(
+        zip([-score for score in scores], candidates)
+    )[1]
+
+
+@given(padding_cases(), WEIGHTS)
 @settings(max_examples=100, deadline=None)
 def test_incremental_shortfall_matches_brute_force(case, weight):
     schema, t, r, constraints, rows, candidates = case
-    state = _State(_credential_kinds(schema, constraints, t), constraints, t, r, [])
+    kinds = _credential_kinds(schema, constraints, t)
+    state = _State(kinds, constraints, t, r, None)
     for n, row in enumerate(rows, start=1):
         state.append(row)
         expected = brute_force_deficiency(rows[:n], schema, constraints, r, t)
@@ -490,11 +516,33 @@ def test_incremental_shortfall_matches_brute_force(case, weight):
         assert state.targets == sorted(
             (cols, tuple(v for _, v in cred.pairs)) for cols, cred in expected
         )
-        for cand in candidates:
-            matched = sum(1 for _, cred in expected if cred.contained_in_row(cand))
-            assert state.score(cand, Fraction(0)) == matched
-            assert state.score(cand, weight) == matched - weight * (
-                brute_force_closeness_penalty(rows[:n], cand, t)
-            )
+        check_ranking(state, rows[:n], expected, candidates, weight, t)
     array = AccessProfileArray(schema, rows)
     assert deficiency(array, r, t, constraints) == expected
+    # a state counted from the whole array at once agrees with the appended one
+    seeded = _State(kinds, constraints, t, r, array)
+    assert seeded.rows == state.rows
+    assert seeded.counts == state.counts
+    assert seeded.shortfalls == state.shortfalls
+    assert (seeded.total, seeded.targets) == (state.total, state.targets)
+
+
+@given(padding_cases(), st.integers(1000, 1100), WEIGHTS)
+@settings(max_examples=15, deadline=None)
+def test_ranking_matches_brute_force_over_a_heavy_base(case, copies, weight):
+    """One row repeated a thousand times or more besides the drawn rows: the
+    counts met span 0 to over 1000 (the first candidate meets the heaviest),
+    so the keys' lcm is large."""
+    schema, t, r, constraints, rows, candidates = case
+    rows, candidates = [rows[0]] * copies + rows, [rows[0], *candidates]
+    state = _State(
+        _credential_kinds(schema, constraints, t),
+        constraints,
+        t,
+        r,
+        AccessProfileArray(schema, rows),
+    )
+    expected = brute_force_deficiency(rows, schema, constraints, r, t)
+    assert state.deficiency() == expected
+    check_ranking(state, rows, expected, candidates, weight, t)
+
