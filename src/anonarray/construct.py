@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import neg
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .constraints import (
     DONT_CARE,
@@ -221,22 +221,37 @@ def _violates_hard(row: Row, constraints: ConstraintSet) -> bool:
     return any(h.contained_in_row(row) for h in constraints.hard)
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """rng.randrange(n)."""
+    return rng.randrange(n)
+
+
+def _drawer(sizes, cols: ColumnSet) -> Callable[[random.Random, Row], Row]:
+    """(rng, values on cols) -> a row holding them, each other cell drawn in
+    column order by rng.randrange(its domain size)."""
+
+    def draw(rng: random.Random, values: Row) -> Row:
+        fixed = dict(zip(cols, values))
+        return tuple(
+            fixed[c] if c in fixed else rng.randrange(n) for c, n in enumerate(sizes)
+        )
+
+    return draw
+
+
 def _fill_row(
     schema,
     fixed: Dict[int, int],
     constraints: ConstraintSet,
     soft_zero: List[Credential],
+    draw: Callable[[random.Random, Row], Row],
     rng: random.Random,
 ) -> Optional[Row]:
     """A full row honoring the fixed cells and avoiding hard constraints,
     preferring rows that introduce no currently-absent soft credential."""
-    sizes = schema.sizes
 
     def sample() -> Row:
-        return tuple(
-            fixed[c] if c in fixed else rng.randrange(sizes[c])
-            for c in range(schema.k)
-        )
+        return draw(rng, tuple(fixed.values()))
 
     for _ in range(60):
         row = sample()
@@ -268,9 +283,10 @@ def _run_attempt(
         if config.max_rows is None or len(state.rows) < config.max_rows:
             soft_zero = state.soft_zero()
             for _ in range(config.candidates_per_row):
-                cols, values = state.targets[rng.randrange(len(state.targets))]
+                cols, values = state.targets[_below(rng, len(state.targets))]
                 fixed = dict(zip(cols, values))
-                row = _fill_row(schema, fixed, constraints, soft_zero, rng)
+                draw = _drawer(schema.sizes, cols)
+                row = _fill_row(schema, fixed, constraints, soft_zero, draw, rng)
                 if row is not None:
                     candidates[row] = None
         if not candidates:
