@@ -6,18 +6,21 @@ candidates by how many deficient credentials they contain, optionally
 penalized by the closeness they would add to existing rows.  Restarts run
 with independent seed-derived streams and the fewest-rows result wins.
 
-Credential kinds are resolved once per call; each attempt then keeps the
-shortfall per column set incrementally (see `_State`).
+Credential kinds are resolved once per call; each attempt then counts the
+base by coded passes, keeps the shortfall per column set incrementally and
+ranks candidates by exact integer keys (see `_State`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from operator import neg
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -38,6 +41,7 @@ from .model import (
     ColumnSet,
     Credential,
     Row,
+    _coded_counts,
     _projector,
     enumerate_column_sets,
 )
@@ -114,22 +118,28 @@ class _State:
     unless it is soft and absent.  Per column set of `kinds` this keeps the
     count of every value tuple and the shortfall of the deficient ones;
     `targets` holds their sorted (column set, value tuple) keys and `total`
-    the sum of their shortfalls.  Appending a row touches only its own
-    value tuples, and scoring a candidate takes one lookup per column set.
+    the sum of their shortfalls.  The base is counted by one coded pass per
+    column set; appending a row touches only its own value tuples, and
+    ranking a candidate takes one lookup per column set.
     """
 
     def __init__(self, kinds: Kinds, constraints, t: int, r_target: int, base):
         self.r_target = r_target
-        self.rows: List[Row] = []
+        self.rows: List[Row] = [] if base is None else list(base.rows)
         self.columns, self.kinds = zip(*kinds)
         self.projectors = [_projector(cols) for cols in self.columns]
-        self.counts = [Counter() for _ in self.columns]
-        # with no rows yet, every credential but the soft ones is short by r
+        coded = {} if base is None else dict(_coded_counts(base, self.columns))
+        self.counts = [Counter(coded.get(cols, ())) for cols in self.columns]
+        # short by r - count, but not while soft and absent
         self.shortfalls = [
-            {values: r_target for values, kind in on_cols.items() if kind != SOFT}
-            for on_cols in self.kinds
+            {
+                values: r_target - c
+                for values, kind in on_cols.items()
+                if (c := counts[values]) < r_target and (c or kind != SOFT)
+            }
+            for on_cols, counts in zip(self.kinds, self.counts)
         ]
-        self.total = r_target * sum(map(len, self.shortfalls))
+        self.total = sum(map(sum, map(dict.values, self.shortfalls)))
         keyed = zip(self.columns, self.shortfalls)
         self.targets = sorted((cols, v) for cols, short in keyed for v in short)
         self.n_full = sum(len(cols) == t for cols in self.columns)
@@ -140,8 +150,6 @@ class _State:
             for s in sorted(constraints.soft)
             if len(s) <= t
         ]
-        for row in base.rows if base else ():
-            self.append(row)
 
     def append(self, row: Row) -> None:
         self.rows.append(row)
@@ -163,28 +171,30 @@ class _State:
             elif before:
                 del self.targets[bisect_left(self.targets, (cols, values))]
 
-    def keys(self, candidates: List[Row], hw: Fraction):
-        """Scores of the candidates, with scale 1 and offset 0."""
-        return [self.score(row, hw) for row in candidates], 1, 0
+    def keys(self, candidates: List[Row], hw: Fraction) -> Tuple[List[int], int, int]:
+        """Integer keys of the candidates, and (scale, offset) such that a
+        candidate's score is (key - offset) / scale.  The score is how many
+        deficient credentials the row contains, less hw = p/q times the sum
+        over the size-t column sets (listed first) of c / (c + 1), where c
+        rows already share its value tuple there.  With L the lcm of c + 1
+        over the counts met by these candidates only, the key is
+        q·L·matched + p·sum(L / (c + 1)), and q·L·score = key - p·n_full·L."""
+        p, q = hw.numerator, hw.denominator
+        full = self.counts[: self.n_full] if p else ()
+        matched, met = [], []
+        for row in candidates:
+            values = [proj(row) for proj in self.projectors]
+            matched.append(sum(map(dict.__contains__, self.shortfalls, values)))
+            met.append(list(map(Counter.__getitem__, full, values)))
+        seen = set().union(*met)
+        lcm = math.lcm(*(c + 1 for c in seen))
+        share = {c: lcm // (c + 1) for c in seen}.__getitem__
+        keys = [q * lcm * m + p * sum(map(share, cs)) for m, cs in zip(matched, met)]
+        return keys, q * lcm, p * self.n_full * lcm
 
     def best(self, candidates: List[Row], hw: Fraction) -> Row:
-        """The highest-scoring candidate, and the smallest row among equals."""
-        keys, _, _ = self.keys(candidates, hw)
-        return min(zip(map(neg, keys), candidates))[1]
-
-    def score(self, row: Row, hw: Fraction):
-        """How many deficient credentials the row contains, less hw times the
-        sum over the size-t column sets (listed first) of c / (c + 1), where c
-        rows already share its value tuple there; exact, one term per c."""
-        values = [proj(row) for proj in self.projectors]
-        matched = sum(map(dict.__contains__, self.shortfalls, values))
-        if not hw:
-            return matched
-        hist = Counter(map(Counter.__getitem__, self.counts[: self.n_full], values))
-        num, den = 0, 1
-        for c, m in hist.items():
-            num, den = num * (c + 1) + c * m * den, den * (c + 1)
-        return matched - hw * Fraction(num, den)
+        """The highest-scoring candidate, the smallest row among equals."""
+        return min(zip(map(neg, self.keys(candidates, hw)[0]), candidates))[1]
 
     def soft_zero(self) -> List[Credential]:
         """Soft credentials currently absent from every row."""
@@ -217,54 +227,42 @@ def deficiency(
     return _State(kinds, constraints, t, r_target, array).deficiency()
 
 
-def _violates_hard(row: Row, constraints: ConstraintSet) -> bool:
-    return any(h.contained_in_row(row) for h in constraints.hard)
+def _holds_any(credentials) -> Callable[[Row], bool]:
+    """Row -> whether it holds any of the credentials, by attribute set."""
+    by_attributes: Dict[ColumnSet, set] = {}
+    for cred in credentials:
+        values = tuple(v for _, v in cred.pairs)
+        by_attributes.setdefault(cred.attributes, set()).add(values)
+    checks = [(_projector(a), frozenset(v)) for a, v in by_attributes.items()]
+    return lambda row: any(proj(row) in values for proj, values in checks)
 
 
 def _below(rng: random.Random, n: int) -> int:
-    """rng.randrange(n)."""
-    return rng.randrange(n)
+    """rng.randrange(n) as this Python draws it, even for n = 1."""
+    bits = n.bit_length()
+    x = rng.getrandbits(bits)
+    while x >= n:
+        x = rng.getrandbits(bits)
+    return x
 
 
 def _drawer(sizes, cols: ColumnSet) -> Callable[[random.Random, Row], Row]:
     """(rng, values on cols) -> a row holding them, each other cell drawn in
-    column order by rng.randrange(its domain size)."""
+    column order as rng.randrange(its domain size) would draw it."""
+    free = [c for c in range(len(sizes)) if c not in cols]
+    draws = [(sizes[c], sizes[c].bit_length()) for c in free]
+    order = _projector(tuple(map([*cols, *free].index, range(len(sizes)))))
 
     def draw(rng: random.Random, values: Row) -> Row:
-        fixed = dict(zip(cols, values))
-        return tuple(
-            fixed[c] if c in fixed else rng.randrange(n) for c, n in enumerate(sizes)
-        )
+        bits, cells = rng.getrandbits, [*values]
+        for n, b in draws:
+            x = bits(b)
+            while x >= n:
+                x = bits(b)
+            cells.append(x)
+        return order(cells)
 
     return draw
-
-
-def _fill_row(
-    schema,
-    fixed: Dict[int, int],
-    constraints: ConstraintSet,
-    soft_zero: List[Credential],
-    draw: Callable[[random.Random, Row], Row],
-    rng: random.Random,
-) -> Optional[Row]:
-    """A full row honoring the fixed cells and avoiding hard constraints,
-    preferring rows that introduce no currently-absent soft credential."""
-
-    def sample() -> Row:
-        return draw(rng, tuple(fixed.values()))
-
-    for _ in range(60):
-        row = sample()
-        if _violates_hard(row, constraints):
-            continue
-        if any(s.contained_in_row(row) for s in soft_zero):
-            continue
-        return row
-    for _ in range(60):
-        row = sample()
-        if not _violates_hard(row, constraints):
-            return row
-    return complete(schema, constraints.hard, fixed)
 
 
 def _run_attempt(
@@ -276,24 +274,30 @@ def _run_attempt(
     rng: random.Random,
 ) -> Tuple[List[Row], List[Tuple[Row, int]]]:
     state = _State(kinds, constraints, config.t, config.r_target, base)
+    holds_hard = _holds_any(constraints.hard)
+    drawer = cache(partial(_drawer, schema.sizes))
     trace: List[Tuple[Row, int]] = []
-    hw = config.homogeneity_weight
     while state.targets:
         candidates: Dict[Row, None] = {}
         if config.max_rows is None or len(state.rows) < config.max_rows:
-            soft_zero = state.soft_zero()
+            # the first 60 draws of a row also avoid the absent soft credentials
+            holds_either = _holds_any([*constraints.hard, *state.soft_zero()])
             for _ in range(config.candidates_per_row):
                 cols, values = state.targets[_below(rng, len(state.targets))]
-                fixed = dict(zip(cols, values))
-                draw = _drawer(schema.sizes, cols)
-                row = _fill_row(schema, fixed, constraints, soft_zero, draw, rng)
+                draw = drawer(cols)
+                for tries in range(120):
+                    row = draw(rng, values)
+                    if not (holds_either if tries < 60 else holds_hard)(row):
+                        break
+                else:
+                    row = complete(schema, constraints.hard, dict(zip(cols, values)))
                 if row is not None:
                     candidates[row] = None
         if not candidates:
             raise BudgetExceededError(
                 partial_rows=list(state.rows), remaining=state.deficiency()
             )
-        best_row = state.best(list(candidates), hw)
+        best_row = state.best(list(candidates), config.homogeneity_weight)
         state.append(best_row)
         trace.append((best_row, state.total))
     return state.rows, trace
@@ -312,18 +316,14 @@ def construct_padding(
     has row labels they are kept, and padding rows are labelled pad-1,
     pad-2, and so on.
     """
-    if base is None:
-        if schema is None:
-            raise InvalidParameterError("schema required when base is None")
-        base_rows: List[Row] = []
-    else:
-        schema = base.schema
-        base_rows = list(base.rows)
+    if base is None and schema is None:
+        raise InvalidParameterError("schema required when base is None")
+    schema, base_rows = (schema, ()) if base is None else (base.schema, base.rows)
 
     feasibility = check_feasibility(schema, constraints, config.t)
     if not feasibility.feasible:
         raise InfeasibleError(feasibility, schema)
-    if any(_violates_hard(row, constraints) for row in base_rows):
+    if any(map(_holds_any(constraints.hard), base_rows)):
         raise InvalidParameterError(
             "base array violates hard constraints; padding cannot repair it"
         )

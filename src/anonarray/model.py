@@ -6,9 +6,10 @@ immutable after construction and every operation here is a pure function.
 
 Bulk counting reads the array by column: `_coded_counts` turns each
 row's value tuple on a column set into one integer code and counts the
-codes, for `count_credentials` and `verify` alike.  `_projector` projects
-one row onto a column set; neighborhood grouping in `homogeneity` and the
-running counts in `construct` key rows by its value tuples.
+codes, for `count_credentials`, `verify` and the base counts of
+`construct` alike.  `_projector` projects one row onto a column set;
+neighborhood grouping in `homogeneity` and the counts `construct` keeps
+per appended row key rows by its value tuples.
 """
 
 from __future__ import annotations
