@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -21,8 +22,10 @@ from anonarray import (
     construct_padding,
     deficiency,
     derive_implicit_hard,
+    export_hypergraph,
     global_homogeneity,
     local_homogeneity,
+    neighborhoods,
     row_lower_bound,
     validate,
 )
@@ -569,3 +572,53 @@ def test_draws_follow_randrange(seed, sizes):
         )
         assert drawn.getstate() == reference.getstate()
 
+
+# quotes, backslashes, control characters and non-ASCII, besides any text
+AWKWARD_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001d11e'),
+        st.characters(),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(arrays(max_k=4, max_n=10), st.data())
+@settings(max_examples=100, deadline=None)
+def test_hypergraph_json_matches_json_dumps(array, data):
+    """The structured-json export is json.dumps(doc, indent=2) of the
+    document built from `neighborhoods`, whatever the labels hold."""
+    n, sizes = array.n_rows, array.schema.sizes
+
+    def distinct(size):
+        return data.draw(
+            st.lists(AWKWARD_TEXT, min_size=size, max_size=size, unique=True)
+        )
+
+    schema = AttributeSchema(
+        tuple(
+            AttributeDef(name, distinct(v))
+            for name, v in zip(distinct(len(sizes)), sizes)
+        )
+    )
+    labels = data.draw(st.none() | st.lists(AWKWARD_TEXT, min_size=n, max_size=n))
+    array = AccessProfileArray(schema, array.rows, labels)
+    t = data.draw(st.integers(1, array.k))
+    attrs = schema.attributes
+    doc = {
+        "vertices": [
+            {"id": i, "label": str(i + 1) if labels is None else labels[i]}
+            for i in range(n)
+        ],
+        "edges": [
+            {
+                "id": e,
+                "columns": [attrs[c].name for c in hood.column_set],
+                "values": [attrs[c].values[v] for c, v in hood.credential.pairs],
+                "members": sorted(hood.members),
+            }
+            for e, hood in enumerate(neighborhoods(array, t))
+        ],
+    }
+    assert export_hypergraph(array, t, "structured-json") == json.dumps(doc, indent=2)
