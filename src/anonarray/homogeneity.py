@@ -196,17 +196,28 @@ def export_hypergraph(array: AccessProfileArray, t: int, format: str) -> str:
         for e, (cols, values, members) in enumerate(_edges(array, t))
     )
     if format == "structured-json":
-        doc = {
-            "vertices": [
-                {"id": i, "label": _vertex_label(array, i)}
-                for i in range(array.n_rows)
-            ],
-            "edges": [
-                {"id": e, "columns": columns, "values": values, "members": members}
-                for e, columns, values, members in edges
-            ],
-        }
-        return json.dumps(doc, indent=2)
+        # the text json.dumps(doc, indent=2) gives, without its pure-Python
+        # indenting encoder: one join per list
+        quote = json.encoder.encode_basestring_ascii
+
+        def listed(items: Iterable[str]) -> str:
+            return "[\n        " + ",\n        ".join(items) + "\n      ]"
+
+        vertices = (
+            f'{{\n      "id": {i},\n      "label": {quote(_vertex_label(array, i))}'
+            "\n    }"
+            for i in range(array.n_rows)
+        )
+        edge_docs = (
+            f'{{\n      "id": {e},\n      "columns": {listed(map(quote, columns))},'
+            f'\n      "values": {listed(map(quote, values))},'
+            f'\n      "members": {listed(map(str, members))}\n    }}'
+            for e, columns, values, members in edges
+        )
+        return (
+            '{\n  "vertices": [\n    ' + ",\n    ".join(vertices)
+            + '\n  ],\n  "edges": [\n    ' + ",\n    ".join(edge_docs) + "\n  ]\n}"
+        )
     lines = [f"vertices: {array.n_rows}"]
     for e, columns, values, members in edges:
         lines.append(
