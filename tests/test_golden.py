@@ -98,6 +98,14 @@ def cases():
             if restarts is not None:
                 argv += ["--restarts", restarts]
             out["construct"][f"pad8/r2/t3/w{w}/restarts{restarts or 'default'}"] = argv
+    # every value of a0 is soft, so while all three are absent every draw
+    # holds one: the first row's candidates are the ones drawn once the
+    # 60-draw absent-soft window runs out, and a shorter window changes them
+    for w in ("0", "0.5"):
+        out["construct"][f"pad8-soft-window/r2/t2/w{w}"] = [
+            "construct", "pad8_schema.json", "-", "pad8_soft_window_constraints.json",
+            "--r", "2", "--t", "2", "--homogeneity-weight", w, "--json", "-o", "OUT",
+        ]
     return out
 
 
