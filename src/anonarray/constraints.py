@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import InvalidParameterError, SearchBudgetError
@@ -58,6 +57,7 @@ from .model import (
     ColumnSet,
     Credential,
     Row,
+    _Frozen,
     _projector,
     enumerate_column_sets,
 )
@@ -71,22 +71,23 @@ UNCONSTRAINED = "unconstrained"
 _SEARCH_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
+class ConstraintSet(_Frozen):
     """The three pairwise-disjoint kinds of constrained credentials."""
 
-    hard: FrozenSet[Credential] = frozenset()
-    soft: FrozenSet[Credential] = frozenset()
-    dont_care: FrozenSet[Credential] = frozenset()
+    hard: FrozenSet[Credential]
+    soft: FrozenSet[Credential]
+    dont_care: FrozenSet[Credential]
 
-    def __post_init__(self):
-        object.__setattr__(self, "hard", frozenset(self.hard))
-        object.__setattr__(self, "soft", frozenset(self.soft))
-        object.__setattr__(self, "dont_care", frozenset(self.dont_care))
-        if (self.hard & self.soft) or (self.hard & self.dont_care) or (
-            self.soft & self.dont_care
-        ):
+    def __init__(
+        self,
+        hard: Iterable[Credential] = (),
+        soft: Iterable[Credential] = (),
+        dont_care: Iterable[Credential] = (),
+    ):
+        hard, soft, dont_care = frozenset(hard), frozenset(soft), frozenset(dont_care)
+        if (hard & soft) or (hard & dont_care) or (soft & dont_care):
             raise InvalidParameterError("constraint kinds must be pairwise disjoint")
+        super().__init__(hard, soft, dont_care)
 
     def validate_for(self, schema: AttributeSchema) -> None:
         for c in itertools.chain(self.hard, self.soft, self.dont_care):
@@ -103,15 +104,11 @@ class ConstraintSet:
             )
         )
 
-    def is_empty(self) -> bool:
-        return not (self.hard or self.soft or self.dont_care)
-
 
 EMPTY_CONSTRAINTS = ConstraintSet()
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(_Frozen):
     feasible: bool
     implicit_hard: FrozenSet[Credential]
     witnesses: Tuple[Tuple[Credential, str], ...]

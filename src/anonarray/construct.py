@@ -18,7 +18,6 @@ import math
 import random
 from bisect import bisect_left, insort
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from operator import neg
@@ -42,6 +41,7 @@ from .model import (
     Credential,
     Row,
     _coded_counts,
+    _Frozen,
     _projector,
     enumerate_column_sets,
 )
@@ -54,8 +54,7 @@ DeficiencyMap = Dict[Tuple[ColumnSet, Credential], int]
 Kinds = List[Tuple[ColumnSet, Dict[Row, str]]]
 
 
-@dataclass(frozen=True)
-class ConstructionConfig:
+class ConstructionConfig(_Frozen):
     r_target: int
     t: int
     seed: int = 0
@@ -64,7 +63,8 @@ class ConstructionConfig:
     restarts: int = 3
     homogeneity_weight: Fraction = Fraction(0)
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.r_target < 2:
             raise InvalidParameterError("r_target must be at least 2")
         if self.candidates_per_row < 1:
@@ -74,11 +74,10 @@ class ConstructionConfig:
         w = Fraction(self.homogeneity_weight)
         if not 0 <= w <= 1:
             raise InvalidParameterError("homogeneity_weight must be in [0, 1]")
-        object.__setattr__(self, "homogeneity_weight", w)
+        self.__dict__["homogeneity_weight"] = w
 
 
-@dataclass(frozen=True)
-class ConstructionResult:
+class ConstructionResult(_Frozen):
     array: AccessProfileArray
     padding_count: int
     achieved: GuaranteeReport

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -25,6 +24,7 @@ from .model import (
     ColumnSet,
     Credential,
     Row,
+    _Frozen,
     _projector,
     enumerate_column_sets,
 )
@@ -32,15 +32,13 @@ from .model import (
 HYPERGRAPH_FORMATS = ("structured-json", "graph-description-text")
 
 
-@dataclass(frozen=True)
-class Neighborhood:
+class Neighborhood(_Frozen):
     column_set: ColumnSet
     credential: Credential
     members: FrozenSet[int]
 
 
-@dataclass(frozen=True)
-class HomogeneityReport:
+class HomogeneityReport(_Frozen):
     t: int
     local: Tuple[Fraction, ...]
     min: Fraction

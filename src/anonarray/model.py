@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, partial, total_ordering
 from operator import add, itemgetter
 from typing import (
     Callable,
@@ -37,38 +36,88 @@ ColumnSet = Tuple[int, ...]
 Row = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class AttributeDef:
+class _Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass's fields are the names annotated in its own body, in order;
+    a class attribute of the same name is that field's default.  Fields
+    are passed by position or keyword; instances are equal, and hash
+    alike, when their class and field values are; they print as
+    `Name(field=value, ...)` and refuse assignment and deletion.  Written
+    out here because the standard library's generated classes cost every
+    CLI process about 25 ms of start-up (see the README).
+    """
+
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        cls, names = type(self), self._fields
+        if len(args) > len(names) or not kwargs.keys() <= set(names[len(args):]):
+            raise TypeError(f"{cls.__name__}() got too many or unknown arguments")
+        defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
+        values = {**defaults, **dict(zip(names, args)), **kwargs}
+        if len(values) < len(names):
+            raise TypeError(f"{cls.__name__}() is missing arguments")
+        self.__dict__.update(values)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self._fields, self._values())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
+class AttributeDef(_Frozen):
     """A named column with a finite, ordered domain of value labels."""
 
     name: str
     values: Tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if not self.name:
+    def __init__(self, name: str, values: Iterable[str]):
+        values = tuple(values)
+        if not name:
             raise InvalidParameterError("attribute name must be non-empty")
-        if len(self.values) < 1:
+        if len(values) < 1:
             raise InvalidParameterError(
-                f"attribute {self.name!r} must have at least one value"
+                f"attribute {name!r} must have at least one value"
             )
-        if len(set(self.values)) != len(self.values):
+        if len(set(values)) != len(values):
             raise InvalidParameterError(
-                f"attribute {self.name!r} has duplicate value labels"
+                f"attribute {name!r} has duplicate value labels"
             )
+        super().__init__(name, values)
 
 
-@dataclass(frozen=True)
-class AttributeSchema:
+class AttributeSchema(_Frozen):
     """Ordered list of attributes; defines the columns of an array."""
 
     attributes: Tuple[AttributeDef, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "attributes", tuple(self.attributes))
-        names = [a.name for a in self.attributes]
+    def __init__(self, attributes: Iterable[AttributeDef]):
+        attributes = tuple(attributes)
+        names = [a.name for a in attributes]
         if len(set(names)) != len(names):
             raise InvalidParameterError("attribute names must be unique")
+        super().__init__(attributes)
 
     @property
     def k(self) -> int:
@@ -98,23 +147,39 @@ class AttributeSchema:
             ) from None
 
 
-@dataclass(frozen=True, order=True)
-class Credential:
+@total_ordering
+class Credential(_Frozen):
     """A set of (attribute index, value index) pairs, sorted by attribute.
 
-    Size ranges from a single pair up to a full row.
+    Size ranges from a single pair up to a full row.  Credentials are
+    ordered by their pairs.
     """
 
     pairs: Tuple[Tuple[int, int], ...]
 
-    def __post_init__(self):
-        pairs = tuple(sorted(tuple(p) for p in self.pairs))
-        object.__setattr__(self, "pairs", pairs)
+    # built, compared and hashed on hot paths, so without the generic
+    # field handling of the base
+    def __init__(self, pairs: Iterable[Tuple[int, int]]):
+        pairs = tuple(sorted(tuple(p) for p in pairs))
         if not pairs:
             raise InvalidParameterError("credential must contain at least one pair")
         attrs = [a for a, _ in pairs]
         if len(set(attrs)) != len(attrs):
             raise InvalidParameterError("credential attributes must be distinct")
+        self.__dict__["pairs"] = pairs
+
+    def __eq__(self, other):
+        if type(other) is not Credential:
+            return NotImplemented
+        return self.pairs == other.pairs
+
+    def __hash__(self):
+        return hash((self.pairs,))
+
+    def __lt__(self, other):
+        if type(other) is not Credential:
+            return NotImplemented
+        return self.pairs < other.pairs
 
     @property
     def attributes(self) -> Tuple[int, ...]:
@@ -151,8 +216,7 @@ class Credential:
         )
 
 
-@dataclass(frozen=True)
-class AccessProfileArray:
+class AccessProfileArray(_Frozen):
     """N x k matrix of value indices over a schema; rows are access profiles.
 
     Duplicate rows are permitted.
@@ -160,35 +224,41 @@ class AccessProfileArray:
 
     schema: AttributeSchema
     rows: Tuple[Row, ...]
-    row_labels: Optional[Tuple[str, ...]] = None
+    row_labels: Optional[Tuple[str, ...]]
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        if self.row_labels is not None:
-            object.__setattr__(self, "row_labels", tuple(self.row_labels))
-        if len(self.rows) < 1:
+    def __init__(
+        self,
+        schema: AttributeSchema,
+        rows: Iterable[Sequence[int]],
+        row_labels: Optional[Iterable[str]] = None,
+    ):
+        rows = tuple(tuple(r) for r in rows)
+        if row_labels is not None:
+            row_labels = tuple(row_labels)
+        super().__init__(schema, rows, row_labels)
+        if len(rows) < 1:
             raise InvalidParameterError("array must have at least one row")
-        rows, k = self.rows, self.schema.k
+        k = schema.k
         # the first fault in row order: a row of the wrong width, or a cell
         # outside its domain in an earlier row or earlier in the same row
         misfit = next((i for i, row in enumerate(rows) if len(row) != k), len(rows))
         columns = self.columns if misfit == len(rows) else zip(*rows[:misfit])
         outside = [
             (next(i for i, cell in enumerate(column) if not 0 <= cell < size), j)
-            for j, (column, size) in enumerate(zip(columns, self.schema.sizes))
+            for j, (column, size) in enumerate(zip(columns, schema.sizes))
             if not 0 <= min(column) <= max(column) < size
         ]
         if outside:
             i, j = min(outside)
             raise InvalidParameterError(
                 f"cell ({i}, {j}) index {rows[i][j]} outside domain of "
-                f"{self.schema.attributes[j].name!r}"
+                f"{schema.attributes[j].name!r}"
             )
         if misfit < len(rows):
             raise InvalidParameterError(
                 f"row {misfit} has {len(rows[misfit])} cells, expected {k}"
             )
-        if self.row_labels is not None and len(self.row_labels) != len(self.rows):
+        if row_labels is not None and len(row_labels) != len(rows):
             raise InvalidParameterError("row_labels length must equal row count")
 
     @property
@@ -208,16 +278,19 @@ class AccessProfileArray:
         return Counter(self.rows)
 
 
-@dataclass(frozen=True)
-class CredentialCountTable:
+class CredentialCountTable(_Frozen):
     """Occurrence counts of the value tuples on one t-subset of columns.
 
     Sparse: only tuples appearing at least once are stored.
     """
 
     column_set: ColumnSet
-    counts: dict = field(default_factory=dict)
-    total: int = 0
+    counts: dict
+    total: int
+
+    def __init__(self, column_set: ColumnSet, counts: Optional[dict] = None, total=0):
+        # each table gets its own empty dict by default
+        super().__init__(column_set, {} if counts is None else counts, total)
 
 
 def enumerate_column_sets(k: int, t: int) -> Iterator[ColumnSet]:

@@ -8,7 +8,6 @@ constraint appearing anywhere forces r = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .constraints import (
@@ -25,14 +24,14 @@ from .model import (
     ColumnSet,
     Credential,
     _coded_counts,
+    _Frozen,
     _rows_holding,
     credential_count,
     enumerate_column_sets,
 )
 
 
-@dataclass(frozen=True)
-class GuaranteeReport:
+class GuaranteeReport(_Frozen):
     t: int
     r: int
     min_witness: Optional[Tuple[ColumnSet, Credential, int]]
@@ -40,8 +39,7 @@ class GuaranteeReport:
     soft_appearances: Tuple[Tuple[Credential, int], ...]
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(_Frozen):
     ok: bool
     # (column_set, credential, count, kind) for every appearing credential
     # short of the target; kind annotates soft constraints.
@@ -49,8 +47,7 @@ class ValidationResult:
     report: GuaranteeReport
 
 
-@dataclass(frozen=True)
-class AnonymityProfile:
+class AnonymityProfile(_Frozen):
     entries: Tuple[Tuple[int, int], ...]
     hard_violations: Tuple[Tuple[int, Credential], ...] = ()
 
