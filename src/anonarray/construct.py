@@ -6,9 +6,10 @@ candidates by how many deficient credentials they contain, optionally
 penalized by the closeness they would add to existing rows.  Restarts run
 with independent seed-derived streams and the fewest-rows result wins.
 
-Credential kinds are resolved once per call; each attempt then counts the
-base by coded passes, keeps the shortfall per column set incrementally and
-ranks candidates by exact integer keys (see `_State`).
+Credential kinds are resolved and the base is counted by coded passes
+once per call; each attempt starts from a copy of those counts, keeps the
+shortfall per column set incrementally and ranks candidates by exact
+integer keys (see `_State`).
 """
 
 from __future__ import annotations
@@ -118,8 +119,9 @@ class _State:
     count of every value tuple and the shortfall of the deficient ones;
     `targets` holds their sorted (column set, value tuple) keys and `total`
     the sum of their shortfalls.  The base is counted by one coded pass per
-    column set; appending a row touches only its own value tuples, and
-    ranking a candidate takes one lookup per column set.
+    column set, once per call: each attempt appends to a `copy`.  Appending
+    a row touches only its own value tuples, and ranking a candidate takes
+    one lookup per column set.
     """
 
     def __init__(self, kinds: Kinds, constraints, t: int, r_target: int, base):
@@ -142,13 +144,23 @@ class _State:
         keyed = zip(self.columns, self.shortfalls)
         self.targets = sorted((cols, v) for cols, short in keyed for v in short)
         self.n_full = sum(len(cols) == t for cols in self.columns)
-        counts_on = dict(zip(self.columns, self.counts))
+        position = {cols: i for i, cols in enumerate(self.columns)}
         # oversized soft credentials are inert for this t
         self.soft = [
-            (s, counts_on[s.attributes], tuple(v for _, v in s.pairs))
+            (s, position[s.attributes], tuple(v for _, v in s.pairs))
             for s in sorted(constraints.soft)
             if len(s) <= t
         ]
+
+    def copy(self) -> "_State":
+        """A state with the same rows and counts that appends on its own."""
+        other = object.__new__(_State)
+        other.__dict__.update(vars(self))
+        other.rows = list(self.rows)
+        other.counts = [counts.copy() for counts in self.counts]
+        other.shortfalls = [short.copy() for short in self.shortfalls]
+        other.targets = list(self.targets)
+        return other
 
     def append(self, row: Row) -> None:
         self.rows.append(row)
@@ -197,7 +209,7 @@ class _State:
 
     def soft_zero(self) -> List[Credential]:
         """Soft credentials currently absent from every row."""
-        return [s for s, counts, values in self.soft if not counts[values]]
+        return [s for s, i, values in self.soft if not self.counts[i][values]]
 
     def deficiency(self) -> DeficiencyMap:
         short = dict(zip(self.columns, self.shortfalls))
@@ -266,13 +278,11 @@ def _drawer(sizes, cols: ColumnSet) -> Callable[[random.Random, Row], Row]:
 
 def _run_attempt(
     schema,
-    base: Optional[AccessProfileArray],
+    state: _State,
     constraints: ConstraintSet,
-    kinds: Kinds,
     config: ConstructionConfig,
     rng: random.Random,
 ) -> Tuple[List[Row], List[Tuple[Row, int]]]:
-    state = _State(kinds, constraints, config.t, config.r_target, base)
     holds_hard = _holds_any(constraints.hard)
     drawer = cache(partial(_drawer, schema.sizes))
     trace: List[Tuple[Row, int]] = []
@@ -330,13 +340,12 @@ def construct_padding(
         raise InvalidParameterError("max_rows is smaller than the base array")
 
     kinds = _credential_kinds(schema, constraints, config.t)
+    start = _State(kinds, constraints, config.t, config.r_target, base)
     results, errors = [], []
     for attempt in range(config.restarts + 1):
         rng = random.Random((config.seed + attempt * _SEED_STRIDE) % 2**64)
         try:
-            results.append(
-                _run_attempt(schema, base, constraints, kinds, config, rng)
-            )
+            results.append(_run_attempt(schema, start.copy(), constraints, config, rng))
         except BudgetExceededError as exc:
             errors.append(exc)
     if not results:

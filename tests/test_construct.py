@@ -251,6 +251,21 @@ class TestConstructPadding:
         # every size-t column set once: C(k, t)
         assert len(calls) <= math.comb(3, 2)
 
+    def test_base_counted_once_per_call_not_per_attempt(
+        self, array_a, university_constraints, monkeypatch
+    ):
+        passes, coded_counts = [], construct_mod._coded_counts
+
+        def counting_coded_counts(array, column_sets):
+            passes.append(array)
+            return coded_counts(array, column_sets)
+
+        monkeypatch.setattr(construct_mod, "_coded_counts", counting_coded_counts)
+        config = ConstructionConfig(r_target=2, t=2, seed=0, restarts=3)
+        construct_padding(array_a, university_constraints, config)
+        # one coded pass over the base for all four attempts
+        assert passes == [array_a]
+
 
 class TestSuggestCredentialSize:
     def test_array_a_budget_12(self, array_a, university_constraints):

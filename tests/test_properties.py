@@ -528,6 +528,16 @@ def test_incremental_shortfall_matches_brute_force(case, weight):
     assert seeded.counts == state.counts
     assert seeded.shortfalls == state.shortfalls
     assert (seeded.total, seeded.targets) == (state.total, state.targets)
+    # a copy appends on its own, as a state counted from its rows would
+    twin = seeded.copy()
+    twin.append(rows[0])
+    grown = _State(kinds, constraints, t, r, AccessProfileArray(schema, [*rows, rows[0]]))
+    for one, other in ((seeded, state), (twin, grown)):
+        assert (one.rows, one.counts, one.shortfalls) == (
+            other.rows, other.counts, other.shortfalls
+        )
+        assert (one.total, one.targets) == (other.total, other.targets)
+        assert one.soft_zero() == other.soft_zero()
 
 
 @given(padding_cases(), st.integers(1000, 1100), WEIGHTS)
