@@ -78,12 +78,7 @@ class ConstraintSet(_Frozen):
     soft: FrozenSet[Credential]
     dont_care: FrozenSet[Credential]
 
-    def __init__(
-        self,
-        hard: Iterable[Credential] = (),
-        soft: Iterable[Credential] = (),
-        dont_care: Iterable[Credential] = (),
-    ):
+    def __init__(self, hard=(), soft=(), dont_care=()):
         hard, soft, dont_care = frozenset(hard), frozenset(soft), frozenset(dont_care)
         if (hard & soft) or (hard & dont_care) or (soft & dont_care):
             raise InvalidParameterError("constraint kinds must be pairwise disjoint")

@@ -37,15 +37,13 @@ Row = Tuple[int, ...]
 
 
 class _Frozen:
-    """Base of the package's immutable value types.
+    """Base of the package's immutable value types, written out because
+    generated classes slow every CLI process's start-up (see the README).
 
     A subclass's fields are the names annotated in its own body, in order;
-    a class attribute of the same name is that field's default.  Fields
-    are passed by position or keyword; instances are equal, and hash
-    alike, when their class and field values are; they print as
-    `Name(field=value, ...)` and refuse assignment and deletion.  Written
-    out here because the standard library's generated classes cost every
-    CLI process about 25 ms of start-up (see the README).
+    a class attribute of the same name is that field's default.  Instances
+    with equal class and fields are equal and hash alike; they print as
+    `Name(field=value, ...)` and refuse assignment and deletion.
     """
 
     _fields: Tuple[str, ...] = ()
@@ -157,8 +155,7 @@ class Credential(_Frozen):
 
     pairs: Tuple[Tuple[int, int], ...]
 
-    # built, compared and hashed on hot paths, so without the generic
-    # field handling of the base
+    # built, compared and hashed on hot paths: no generic field handling
     def __init__(self, pairs: Iterable[Tuple[int, int]]):
         pairs = tuple(sorted(tuple(p) for p in pairs))
         if not pairs:
@@ -226,12 +223,7 @@ class AccessProfileArray(_Frozen):
     rows: Tuple[Row, ...]
     row_labels: Optional[Tuple[str, ...]]
 
-    def __init__(
-        self,
-        schema: AttributeSchema,
-        rows: Iterable[Sequence[int]],
-        row_labels: Optional[Iterable[str]] = None,
-    ):
+    def __init__(self, schema: AttributeSchema, rows: Iterable[Row], row_labels=None):
         rows = tuple(tuple(r) for r in rows)
         if row_labels is not None:
             row_labels = tuple(row_labels)
