@@ -20,6 +20,19 @@ def brute_force_counts(array, cols):
     return Counter(tuple(row[c] for c in cols) for row in array.rows)
 
 
+def brute_force_neighborhoods(array, t):
+    """(column set, value tuple, ascending member rows) of every
+    neighborhood: for each column set in lexicographic order, the rows
+    grouped by their projected tuple, groups in value order."""
+    out = []
+    for cols in combinations(range(array.schema.k), t):
+        groups = {}
+        for i, row in enumerate(array.rows):
+            groups.setdefault(tuple(row[c] for c in cols), []).append(i)
+        out.extend((cols, values, groups[values]) for values in sorted(groups))
+    return out
+
+
 def brute_force_guarantee(array, t, constraints):
     """Minimum row count over all realizable size-t credentials; 0 when a
     hard-classified credential appears."""

@@ -31,6 +31,7 @@ from anonarray import (
 )
 from anonarray.constraints import HARD, UNCONSTRAINED, complete, kinds_on
 from anonarray.construct import _below, _credential_kinds, _drawer, _State
+from anonarray.homogeneity import Neighborhood, _edges
 from anonarray.model import _DECODE_TABLE_MAX, _coded_counts
 
 from oracles import (
@@ -40,6 +41,7 @@ from oracles import (
     brute_force_guarantee,
     brute_force_infeasible_credentials,
     brute_force_local_homogeneity,
+    brute_force_neighborhoods,
     brute_force_short_credentials,
 )
 
@@ -165,6 +167,22 @@ def test_coded_counts_match_projection(case):
         expected = brute_force_counts(array, cols)
         assert counts == expected
         assert list(counts) == sorted(expected)
+
+
+@given(column_set_runs())
+@example(_wide_run())
+@settings(max_examples=100, deadline=None)
+def test_neighborhoods_match_brute_force(case):
+    """Every t over mixed domain sizes; the wide run's t >= 7 codes pass
+    the decode table."""
+    array, _ = case
+    for t in range(1, array.k + 1):
+        expected = brute_force_neighborhoods(array, t)
+        assert list(_edges(array, t)) == expected
+        assert neighborhoods(array, t) == [
+            Neighborhood(cols, Credential(tuple(zip(cols, values))), frozenset(members))
+            for cols, values, members in expected
+        ]
 
 
 @given(arrays())
