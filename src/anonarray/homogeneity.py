@@ -4,7 +4,7 @@ Rows sharing a size-t credential form a neighborhood (a hyperedge).  The
 weight of a pair of rows on a credential is 1/|neighborhood| when both
 belong to it; closeness sums weights over all size-t credentials; local
 homogeneity averages a row's closeness over its distinct neighbors.
-`local_homogeneity` groups the rows of each column set once, then sums a
+`local_homogeneity` groups each column set's rows by code once, then sums a
 row's shares as one integer fraction and its degree from ORed bitmasks.
 All arithmetic is exact (fractions); decimals appear only in rendering.
 """
@@ -15,6 +15,7 @@ import json
 import math
 from fractions import Fraction
 from functools import reduce
+from itertools import repeat
 from operator import or_
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
@@ -25,7 +26,8 @@ from .model import (
     Credential,
     Row,
     _Frozen,
-    _projector,
+    _codes,
+    _decoder,
     enumerate_column_sets,
 )
 
@@ -47,9 +49,9 @@ class HomogeneityReport(_Frozen):
     isolated: FrozenSet[int]
 
 
-def _group(keys: Iterable[tuple]) -> Dict[tuple, List[int]]:
-    """Row indices by key (their value tuple on one column set), ascending."""
-    groups: Dict[tuple, List[int]] = {}
+def _group(keys: Iterable[int]) -> Dict[int, List[int]]:
+    """Row indices by key (their code on one column set), ascending."""
+    groups: Dict[int, List[int]] = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
     return groups
@@ -60,12 +62,12 @@ def _edges(
 ) -> Iterator[Tuple[ColumnSet, Row, List[int]]]:
     """(column set, value tuple, ascending member rows) of every
     neighborhood, by column set in lexicographic order, then by values."""
-    if not 1 <= t <= array.k:
-        raise InvalidParameterError(f"t={t} out of range for k={array.k}")
-    for cols in enumerate_column_sets(array.k, t):
-        groups = _group(map(_projector(cols), array.rows))
-        for values in sorted(groups):
-            yield cols, values, groups[values]
+    column_sets = enumerate_column_sets(array.k, t)
+    decode = _decoder(array, t)
+    for cols, codes in _codes(array, column_sets):
+        groups = _group(codes)
+        order = sorted(groups)
+        yield from zip(repeat(cols), decode(order), map(groups.__getitem__, order))
 
 
 def neighborhoods(array: AccessProfileArray, t: int) -> List[Neighborhood]:
@@ -125,11 +127,9 @@ def local_homogeneity(array: AccessProfileArray, t: int) -> HomogeneityReport:
     of the OR of its group bitmasks, minus one.  Isolated rows receive the
     sentinel C(k, t) and are listed separately.
     """
-    if not 1 <= t <= array.k:
-        raise InvalidParameterError(f"t={t} out of range for k={array.k}")
     sizes, masks = [], []
-    for cols in enumerate_column_sets(array.k, t):
-        keys = list(map(_projector(cols), array.rows))
+    for _, codes in _codes(array, enumerate_column_sets(array.k, t)):
+        keys = list(codes)
         # one size int and one mask per group, shared by its rows; 0 for a lone row
         size_of, mask_of = {}, {}
         for key, members in _group(keys).items():

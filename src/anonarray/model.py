@@ -1,15 +1,17 @@
 """Core types: attribute schemas, profile arrays, credentials, and counting.
 
 Values are stored internally as integer indices into each attribute's
-domain; string labels exist only at the I/O boundary.  All types are
-immutable after construction and every operation here is a pure function.
+domain; string labels exist only at the I/O boundary.  Every operation
+here is a pure function, and every type is immutable except
+`CredentialCountTable`: its `counts` is a plain dict, so it is mutable
+and unhashable.
 
-Bulk counting reads the array by column: `_coded_counts` turns each
-row's value tuple on a column set into one integer code and counts the
-codes, for `count_credentials`, `verify` and the base counts of
-`construct` alike.  `_projector` projects one row onto a column set;
-neighborhood grouping in `homogeneity` and the counts `construct` keeps
-per appended row key rows by its value tuples.
+`_codes` is the one coded representation of credentials: each row's
+value tuple on a column set as one integer, read by column.
+`_coded_counts` counts and decodes those codes for `count_credentials`,
+`verify` and `construct`'s base; `homogeneity` groups rows by them and
+has `_decoder` decode only the distinct codes it lists.  `_projector`
+projects one row, for `construct`'s per-row counts and constraint checks.
 """
 
 from __future__ import annotations
@@ -303,39 +305,38 @@ def _projector(cols: ColumnSet) -> Callable[[Row], Row]:
 # Decoding tables hold at most this many value tuples; a wider code is
 # decoded a table's worth of digits at a time.
 _DECODE_TABLE_MAX = 4096
+_Decoder = Callable[[Collection[int]], Iterator[Row]]
 
 
-def _decoder(radix: int, width: int) -> Callable[[Collection[int]], Iterator[Row]]:
-    """Codes -> the value tuples whose base-`radix` digits they hold."""
+def _decoder(array: AccessProfileArray, width: int) -> _Decoder:
+    """`_codes` codes on `width` columns -> the value tuples they stand for."""
+    radix = max(array.schema.sizes)
     digits = 1
     while digits < width and radix ** (digits + 1) <= _DECODE_TABLE_MAX:
         digits += 1
     table = list(itertools.product(range(radix), repeat=digits)).__getitem__
     if digits == width:
         return partial(map, table)
-    lead, base = _decoder(radix, width - digits), radix**digits
+    lead, base = _decoder(array, width - digits), radix**digits
     return lambda codes: map(
         add, lead(map(base.__rfloordiv__, codes)), map(table, map(base.__rmod__, codes))
     )
 
 
-def _coded_counts(
+def _codes(
     array: AccessProfileArray, column_sets: Iterable[ColumnSet]
-) -> Iterator[Tuple[ColumnSet, Dict[Row, int]]]:
-    """(cols, {value tuple: count}) for each column set, in the given order,
-    each dict sorted by value tuple.
+) -> Iterator[Tuple[ColumnSet, Iterable[int]]]:
+    """(cols, every row's code on cols) per column set, in the given order.
 
-    A row's value tuple (x0, x1, ..., xl) on cols is counted as one int,
+    A row's value tuple (x0, x1, ..., xl) on cols is coded as one int,
     (...(x0·S + x1)·S + ...)·S + xl, with S the largest domain size, so
-    codes sort like the tuples they stand for and only the distinct codes
-    are decoded.  The codes of each leading run of columns, times S, are
-    kept while consecutive column sets share that run, so in
-    lexicographic order most sets cost one pass to count; beyond the k
-    columns this holds at most t - 1 lists of N ints.
+    codes sort like the tuples they stand for.  The codes of each leading
+    run of columns, times S, are kept while consecutive column sets share
+    that run, so in lexicographic order most sets cost one pass; beyond
+    the k columns this holds at most t - 1 lists of N ints.
     """
     columns = array.columns
     radix = max(array.schema.sizes)
-    decoders: Dict[int, Callable[[Collection[int]], Iterator[Row]]] = {}
     # levels[d]: the codes of the current head's first d + 1 columns, times S
     head: ColumnSet = ()
     levels: List[List[int]] = []
@@ -349,9 +350,19 @@ def _coded_counts(
             codes = map(add, levels[-1], columns[c]) if levels else columns[c]
             levels.append(list(map(radix.__mul__, codes)))
         last = columns[cols[-1]]
-        counts = Counter(map(add, levels[-1], last) if levels else last)
+        yield cols, map(add, levels[-1], last) if levels else last
+
+
+def _coded_counts(
+    array: AccessProfileArray, column_sets: Iterable[ColumnSet]
+) -> Iterator[Tuple[ColumnSet, Dict[Row, int]]]:
+    """(cols, {value tuple: count}) for each column set, in the given order,
+    each dict sorted by value tuple; only the distinct codes are decoded."""
+    decoders: Dict[int, _Decoder] = {}
+    for cols, codes in _codes(array, column_sets):
+        counts = Counter(codes)
         if len(cols) not in decoders:
-            decoders[len(cols)] = _decoder(radix, len(cols))
+            decoders[len(cols)] = _decoder(array, len(cols))
         order = sorted(counts)
         yield cols, dict(zip(decoders[len(cols)](order), map(counts.__getitem__, order)))
 

@@ -47,6 +47,21 @@ class TestNeighborhoods:
         assert len({(n.column_set, n.credential) for n in nbs}) == 3
 
 
+    @pytest.mark.parametrize("t", [0, -1, 4])
+    @pytest.mark.parametrize(
+        "score",
+        [
+            neighborhoods,
+            closeness_matrix,
+            local_homogeneity,
+            lambda array, t: export_hypergraph(array, t, "structured-json"),
+        ],
+    )
+    def test_t_out_of_range(self, full_factorial, score, t):
+        with pytest.raises(InvalidParameterError, match=f"^t={t} out of range for k=3$"):
+            score(full_factorial, t)
+
+
 class TestWeight:
     def test_pair_neighborhood(self, full_factorial):
         nb = next(
