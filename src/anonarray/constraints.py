@@ -88,17 +88,6 @@ class ConstraintSet(_Frozen):
         for c in itertools.chain(self.hard, self.soft, self.dont_care):
             c.validate_for(schema)
 
-    def oversized(self, t: int) -> Tuple[Credential, ...]:
-        """Constraints larger than the analysis t.  Hard ones still forbid
-        every row that contains them; soft and don't-care ones are inert."""
-        return tuple(
-            sorted(
-                c
-                for c in itertools.chain(self.hard, self.soft, self.dont_care)
-                if len(c) > t
-            )
-        )
-
 
 EMPTY_CONSTRAINTS = ConstraintSet()
 

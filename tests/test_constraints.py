@@ -27,12 +27,6 @@ class TestConstraintSet:
         with pytest.raises(InvalidParameterError):
             ConstraintSet(hard=frozenset({c}), soft=frozenset({c}))
 
-    def test_oversized_reported(self, pair_block_constraints):
-        assert pair_block_constraints.oversized(1) == tuple(
-            sorted(pair_block_constraints.hard)
-        )
-        assert pair_block_constraints.oversized(2) == ()
-
 
 class TestClassify:
     def test_hard_from_table(self, pair_block_constraints):
