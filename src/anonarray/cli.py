@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -206,6 +207,9 @@ def cmd_construct(args) -> int:
     constraints = EMPTY_CONSTRAINTS
     if args.constraints:
         constraints, _ = load_constraints(args.constraints, schema)
+    weight = args.homogeneity_weight
+    if math.isfinite(weight):  # the config rejects nan and inf
+        weight = Fraction(weight).limit_denominator(10**6)
     config = construct_mod.ConstructionConfig(
         r_target=args.r,
         t=args.t,
@@ -213,7 +217,7 @@ def cmd_construct(args) -> int:
         max_rows=args.max_rows,
         candidates_per_row=args.candidates,
         restarts=args.restarts,
-        homogeneity_weight=Fraction(args.homogeneity_weight).limit_denominator(10**6),
+        homogeneity_weight=weight,
     )
     try:
         result = construct_mod.construct_padding(base, constraints, config, schema=schema)

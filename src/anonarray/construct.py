@@ -72,8 +72,11 @@ class ConstructionConfig(_Frozen):
             raise InvalidParameterError("candidates_per_row must be at least 1")
         if self.restarts < 0:
             raise InvalidParameterError("restarts must be non-negative")
-        w = Fraction(self.homogeneity_weight)
-        if not 0 <= w <= 1:
+        try:
+            w = Fraction(self.homogeneity_weight)
+        except (ValueError, OverflowError):
+            w = None  # nan or inf
+        if w is None or not 0 <= w <= 1:
             raise InvalidParameterError("homogeneity_weight must be in [0, 1]")
         self.__dict__["homogeneity_weight"] = w
 

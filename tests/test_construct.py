@@ -37,6 +37,11 @@ class TestConfig:
         with pytest.raises(InvalidParameterError):
             ConstructionConfig(r_target=2, t=2, homogeneity_weight=Fraction(3, 2))
 
+    @pytest.mark.parametrize("w", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_rejected(self, w):
+        with pytest.raises(InvalidParameterError, match=r"^homogeneity_weight must be in \[0, 1\]$"):
+            ConstructionConfig(r_target=2, t=2, homogeneity_weight=w)
+
 
 class TestDeficiency:
     def test_array_a_shortfalls(

@@ -302,6 +302,23 @@ class TestCliHomogeneity:
 
 
 class TestCliConstruct:
+    @pytest.mark.parametrize("w", ["nan", "inf", "1e400", "-inf"])
+    def test_non_finite_weight_exit_1(self, capsys, w):
+        code, out, err = run(
+            capsys,
+            "construct",
+            FIXTURES / "university_schema.json",
+            FIXTURES / "array_a.csv",
+            "--r",
+            "2",
+            "--t",
+            "2",
+            f"--homogeneity-weight={w}",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: homogeneity_weight must be in [0, 1]\n"
+
     def test_pad_array_a(self, capsys, tmp_path):
         out_file = tmp_path / "padded.csv"
         code, out, _ = run(
