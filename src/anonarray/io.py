@@ -13,7 +13,7 @@ import json
 from typing import List, Optional, Tuple
 
 from .constraints import ConstraintSet
-from .errors import ParseError
+from .errors import InvalidParameterError, ParseError
 from .model import (
     AccessProfileArray,
     AttributeDef,
@@ -185,6 +185,9 @@ def parse_constraints(
                     filename=filename,
                 )
             try:
+                repeated = [n for n in names if names.count(n) > 1]
+                if repeated:
+                    raise InvalidParameterError(f"attribute {repeated[0]!r} is repeated")
                 allowed.append(tuple(sorted(schema.attribute_index(n) for n in names)))
             except Exception as exc:
                 raise ParseError(f"allowed_column_sets: {exc}", filename=filename)

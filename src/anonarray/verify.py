@@ -95,7 +95,7 @@ def _scan(
     else:
         column_sets = [tuple(sorted(cs)) for cs in allowed_column_sets]
         for cs in column_sets:
-            if len(cs) != t or any(not 0 <= c < array.k for c in cs):
+            if len(set(cs)) != t or any(not 0 <= c < array.k for c in cs):
                 raise InvalidParameterError(f"invalid column set {cs} for t={t}")
 
     best: Optional[int] = None

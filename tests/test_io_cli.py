@@ -108,6 +108,12 @@ class TestDocuments:
         _, allowed = parse_constraints(doc, schema)
         assert allowed == [(0, 1), (1, 3)]
 
+    def test_repeated_allowed_attribute_names_the_file(self, schema):
+        doc = json.dumps({"allowed_column_sets": [["Role", "Job"], ["Role", "Role"]]})
+        with pytest.raises(ParseError) as exc:
+            parse_constraints(doc, schema, filename="c.json")
+        assert str(exc.value) == "c.json: allowed_column_sets: attribute 'Role' is repeated"
+
     def test_overlapping_kinds_rejected(self, schema):
         doc = json.dumps(
             {

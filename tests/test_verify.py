@@ -84,6 +84,10 @@ class TestComputeGuarantee:
         )
         assert report.r == 2
 
+    def test_repeated_column_rejected(self, array_a):
+        with pytest.raises(InvalidParameterError, match=r"invalid column set \(0, 0\) for t=2"):
+            compute_guarantee(array_a, 2, allowed_column_sets=[(0, 1), (0, 0)])
+
     def test_dont_care_excluded_from_minimum(self, binary3_schema, full_factorial):
         # every pair on (a1, a2) is exempt; the minimum comes from elsewhere
         dc = ConstraintSet(
