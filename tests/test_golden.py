@@ -24,18 +24,21 @@ from anonarray.cli import main
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
 
-# (schema, arrays, constraint files) per fixture family
+# (schema, arrays, constraint files, homogeneity t values) per fixture
+# family; binary3 has k = 3, so at t = 3 only identical rows are neighbours
 _FAMILIES = (
     (
         "university_schema.json",
         ("array_a.csv", "array_b.csv"),
         ("university_constraints.json",),
+        (1, 2),
     ),
     (
         "binary3_schema.json",
         ("full_factorial.csv", "fractional_replicated.csv", "halfspace_array.csv",
          "two_groups.csv"),
         ("halfspace_constraints.json", "pair_block_constraints.json"),
+        (1, 2, 3),
     ),
 )
 
@@ -48,7 +51,7 @@ def cases():
     """{subcommand: {case id: argv}}; `OUT` marks the construct output path."""
     out = {"verify": {}, "profile": {}, "homogeneity": {}, "construct": {},
            "constraints-derive": {}}
-    for schema, arrays, constraint_files in _FAMILIES:
+    for schema, arrays, constraint_files, homogeneity_ts in _FAMILIES:
         for array in arrays:
             for cons in (None,) + constraint_files:
                 tail = [cons] if cons else []
@@ -60,7 +63,7 @@ def cases():
                             argv += ["--r", str(r)]
                         out["verify"][f"{tag}/t{t}/r{r}"] = argv
                 out["profile"][tag] = ["profile", schema, array, *tail, "--json"]
-            for t in (1, 2):
+            for t in homogeneity_ts:
                 out["homogeneity"][f"{_stem(array)}/t{t}"] = [
                     "homogeneity", schema, array, "--t", str(t), "--json",
                     "--hypergraph", "json",

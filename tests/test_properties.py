@@ -251,10 +251,28 @@ def duplicated_arrays(draw, max_k=5, max_n=16):
     return AccessProfileArray(schema, tuple(rows))
 
 
-@given(st.one_of(arrays(max_n=16, max_k=5), duplicated_arrays()), st.data())
+def _binary(*rows):
+    """An array of the given 0/1 rows."""
+    k = len(rows[0])
+    schema = AttributeSchema(
+        tuple(AttributeDef(f"a{i + 1}", ("0", "1")) for i in range(k))
+    )
+    return AccessProfileArray(schema, rows)
+
+
+@given(
+    st.one_of(arrays(max_n=16, max_k=5), duplicated_arrays()).flatmap(
+        lambda array: st.tuples(st.just(array), st.integers(1, array.k))
+    )
+)
+# every row identical; duplicates beside one isolated row; duplicates at
+# t = k, where only identical rows are neighbours
+@example((_binary(*[(0, 1, 1)] * 5), 2))
+@example((_binary(*[(0, 0, 0)] * 3, (1, 1, 1)), 2))
+@example((_binary(*[(0, 1, 0)] * 2, *[(1, 1, 0)] * 3, (0, 0, 1)), 3))
 @settings(max_examples=200, deadline=None)
-def test_local_homogeneity_matches_brute_force(array, data):
-    t = data.draw(st.integers(1, array.k), label="t")
+def test_local_homogeneity_matches_brute_force(case):
+    array, t = case
     expected = brute_force_local_homogeneity(array, t)
     sentinel = math.comb(array.k, t)
     assert local_homogeneity(array, t) == HomogeneityReport(
