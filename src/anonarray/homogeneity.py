@@ -4,9 +4,11 @@ Rows sharing a size-t credential form a neighborhood (a hyperedge).  The
 weight of a pair of rows on a credential is 1/|neighborhood| when both
 belong to it; closeness sums weights over all size-t credentials; local
 homogeneity averages a row's closeness over its distinct neighbors.
-`local_homogeneity` groups each column set's rows by code once, then sums a
-row's shares as one integer fraction and its degree from ORed bitmasks.
-All arithmetic is exact (fractions); decimals appear only in rendering.
+`local_homogeneity` scores each distinct row once, since equal rows share
+every neighborhood: it groups each column set's distinct rows by code once,
+then sums a row's shares as one integer fraction and its degree from ORed
+bitmasks, and takes the mean as one exact fraction.  All arithmetic is
+exact (fractions); decimals appear only in rendering.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ import json
 import math
 from fractions import Fraction
 from functools import reduce
-from itertools import repeat
+from itertools import chain, repeat
 from operator import or_
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Tuple
 
 from .errors import InvalidParameterError
 from .model import (
@@ -49,8 +51,8 @@ class HomogeneityReport(_Frozen):
     isolated: FrozenSet[int]
 
 
-def _group(keys: Iterable[int]) -> Dict[int, List[int]]:
-    """Row indices by key (their code on one column set), ascending."""
+def _group(keys: Iterable[Hashable]) -> Dict[Hashable, List[int]]:
+    """Row indices by key (a row, or its code on one column set), ascending."""
     groups: Dict[int, List[int]] = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
@@ -122,39 +124,56 @@ def closeness_matrix(array: AccessProfileArray, t: int) -> List[List[Fraction]]:
 def local_homogeneity(array: AccessProfileArray, t: int) -> HomogeneityReport:
     """Per-row homogeneity via the neighborhood accumulation shortcut.
 
-    Row i's C(k, t) neighborhoods, of sizes m, give sum((m - 1)/m) as one
-    integer fraction over L = lcm(m), divided by its degree: the popcount
-    of the OR of its group bitmasks, minus one.  Isolated rows receive the
-    sentinel C(k, t) and are listed separately.
+    Equal rows share every neighborhood, so each distinct row is scored
+    once and its score given to all its copies.  Row i's C(k, t)
+    neighborhoods, of sizes m (summed over their distinct members' copies),
+    give sum((m - 1)/m) as one integer fraction over L = lcm(m), divided by
+    its degree: the popcount of the OR of its group bitmasks, minus one.
+    Isolated rows receive the sentinel C(k, t) and are listed separately.
+    The global score is the mean as one exact fraction over the lcm of the
+    distinct scores' denominators.
     """
+    copies = _group(array.rows)
+    members = list(copies.values())
+    weights = list(map(len, members))
     sizes, masks = [], []
-    for _, codes in _codes(array, enumerate_column_sets(array.k, t)):
+    distinct = AccessProfileArray(array.schema, copies)
+    for _, codes in _codes(distinct, enumerate_column_sets(array.k, t)):
         keys = list(codes)
-        # one size int and one mask per group, shared by its rows; 0 for a lone row
+        # one size int and one mask of row indices per group, shared by its
+        # distinct rows; 0 for a lone row
         size_of, mask_of = {}, {}
-        for key, members in _group(keys).items():
-            size_of[key] = m = len(members)
-            mask_of[key] = reduce(or_, map((1).__lshift__, members)) if m > 1 else 0
+        for key, group in _group(keys).items():
+            size_of[key] = m = sum(map(weights.__getitem__, group))
+            rows = chain.from_iterable(map(members.__getitem__, group))
+            mask_of[key] = reduce(or_, map((1).__lshift__, rows)) if m > 1 else 0
         sizes.append(list(map(size_of.__getitem__, keys)))
         masks.append(list(map(mask_of.__getitem__, keys)))
 
     sentinel = Fraction(math.comb(array.k, t))
-    local, isolated = [], set()
-    for i, (row_sizes, row_masks) in enumerate(zip(zip(*sizes), zip(*masks))):
+    scores, local, isolated = [], [sentinel] * array.n_rows, set()
+    for rows, row_sizes, row_masks in zip(members, zip(*sizes), zip(*masks)):
         union = reduce(or_, row_masks)
         if union:
             lcm = math.lcm(*row_sizes)
             shares = lcm * len(row_sizes) - sum(map(lcm.__floordiv__, row_sizes))
-            local.append(Fraction(shares, lcm * (union.bit_count() - 1)))
+            score = Fraction(shares, lcm * (union.bit_count() - 1))
+            for i in rows:
+                local[i] = score
         else:
-            local.append(sentinel)
-            isolated.add(i)
+            score = sentinel
+            isolated.update(rows)
+        scores.append(score)
+    common = math.lcm(*(s.denominator for s in scores))
+    total = sum(
+        s.numerator * (common // s.denominator) * w for s, w in zip(scores, weights)
+    )
     return HomogeneityReport(
         t=t,
         local=tuple(local),
-        min=min(local),
-        max=max(local),
-        global_score=sum(local, Fraction(0)) / array.n_rows,
+        min=min(scores),
+        max=max(scores),
+        global_score=Fraction(total, common * array.n_rows),
         isolated=frozenset(isolated),
     )
 
@@ -184,12 +203,13 @@ def export_hypergraph(array: AccessProfileArray, t: int, format: str) -> str:
         )
     names = [a.name for a in array.schema.attributes]
     labels = [a.values for a in array.schema.attributes]
+    ids = list(map(str, range(array.n_rows)))
     edges = (
         (
             e,
             [names[c] for c in cols],
             [labels[c][v] for c, v in zip(cols, values)],
-            members,
+            map(ids.__getitem__, members),
         )
         for e, (cols, values, members) in enumerate(_edges(array, t))
     )
@@ -209,7 +229,7 @@ def export_hypergraph(array: AccessProfileArray, t: int, format: str) -> str:
         edge_docs = (
             f'{{\n      "id": {e},\n      "columns": {listed(map(quote, columns))},'
             f'\n      "values": {listed(map(quote, values))},'
-            f'\n      "members": {listed(map(str, members))}\n    }}'
+            f'\n      "members": {listed(members)}\n    }}'
             for e, columns, values, members in edges
         )
         return (
@@ -219,7 +239,7 @@ def export_hypergraph(array: AccessProfileArray, t: int, format: str) -> str:
     lines = [f"vertices: {array.n_rows}"]
     for e, columns, values, members in edges:
         lines.append(
-            f"edge {e}: {{{','.join(map(str, members))}}} "
+            f"edge {e}: {{{','.join(members)}}} "
             f"columns={','.join(columns)} values={','.join(values)}"
         )
     return "\n".join(lines) + "\n"

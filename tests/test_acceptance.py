@@ -344,19 +344,23 @@ def test_criterion_11_guarantee_cost_follows_the_appearing_tuples():
     _report(11, started, 0.1, "N=50 k=10 v=6 t=7, one don't-care pair")
 
 
-# Builds a seeded uniform array and scores it; prints the number of local
-# scores and the process's own peak resident set (ru_maxrss, KB on Linux).
+# Builds a seeded array and scores it: uniform random rows, or with a
+# nonzero `distinct`, rows drawn from that many seeded random rows.  Prints
+# the number of local scores and the process's own peak resident set
+# (ru_maxrss, KB on Linux).
 _HOMOGENEITY_WORKER = """
 import random, resource, sys
 from anonarray import (
     AccessProfileArray, AttributeDef, AttributeSchema, local_homogeneity
 )
-seed, n, k, v, t = map(int, sys.argv[1:])
+seed, n, k, v, t, distinct = map(int, sys.argv[1:])
 rnd = random.Random(seed)
 schema = AttributeSchema(
     tuple(AttributeDef(f"a{i + 1}", tuple(str(x) for x in range(v))) for i in range(k))
 )
-rows = tuple(tuple(rnd.randrange(v) for _ in range(k)) for _ in range(n))
+draw = lambda: tuple(rnd.randrange(v) for _ in range(k))
+pool = [draw() for _ in range(distinct)]
+rows = tuple(rnd.choice(pool) if pool else draw() for _ in range(n))
 report = local_homogeneity(AccessProfileArray(schema, rows), t)
 print(len(report.local), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
@@ -367,15 +371,13 @@ print(len(report.local), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 _LAUNCHER = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
 
 
-def test_criterion_10_homogeneity_at_the_documented_limit():
-    # N=20000, k=10, v=3, t=2: one N-bit mask per row would hold 50 MB alone
-    n, budget_mb = 20000, 80
+def _score_in_worker(n, distinct):
+    """(local scores, peak RSS in MB) of the worker at k=10, v=3, t=2."""
     src = Path(__file__).resolve().parent.parent / "src"
-    # the worker reads seed, N, k, v, t
+    # the worker reads seed, N, k, v, t, distinct
     worker = [sys.executable, "-c", _HOMOGENEITY_WORKER, str(CORPUS_SEED), str(n)]
-    started = time.monotonic()
     proc = subprocess.run(
-        [sys.executable, "-c", _LAUNCHER, *worker, "10", "3", "2"],
+        [sys.executable, "-c", _LAUNCHER, *worker, "10", "3", "2", str(distinct)],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=str(src)),
@@ -383,10 +385,29 @@ def test_criterion_10_homogeneity_at_the_documented_limit():
     )
     assert proc.returncode == 0, proc.stderr
     scored, maxrss_kb = map(int, proc.stdout.split())
+    return scored, maxrss_kb / 1024
+
+
+def test_criterion_10_homogeneity_at_the_documented_limit():
+    # N=20000, k=10, v=3, t=2: one N-bit mask per row would hold 50 MB alone
+    n, budget_mb = 20000, 80
+    started = time.monotonic()
+    scored, peak_mb = _score_in_worker(n, 0)
     assert scored == n
-    peak_mb = maxrss_kb / 1024
     assert peak_mb <= budget_mb, f"peak RSS {peak_mb:.1f} MB over {budget_mb} MB"
     _report(10, started, 60.0, f"N={n} k=10 v=3 t=2, peak RSS {peak_mb:.1f} MB")
+
+
+def test_criterion_13_homogeneity_scores_each_distinct_row_once():
+    # 20000 rows drawn from 2000: scoring every row on its own peaks near
+    # 37 MB, scoring each distinct row once near 21 MB
+    n, distinct, budget_mb = 20000, 2000, 30
+    started = time.monotonic()
+    scored, peak_mb = _score_in_worker(n, distinct)
+    assert scored == n
+    assert peak_mb <= budget_mb, f"peak RSS {peak_mb:.1f} MB over {budget_mb} MB"
+    _report(13, started, 30.0, f"N={n} of {distinct} distinct, k=10 v=3 t=2, "
+            f"peak RSS {peak_mb:.1f} MB")
 
 
 # Pads a base of 20000 copies of one seeded row plus 30 seeded random rows
