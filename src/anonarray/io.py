@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .constraints import ConstraintSet
 from .errors import InvalidParameterError, ParseError
@@ -177,7 +177,7 @@ def parse_constraints(
         raw = doc["allowed_column_sets"]
         if not isinstance(raw, list):
             raise ParseError('"allowed_column_sets" must be a list', filename=filename)
-        allowed = []
+        sets: Dict[ColumnSet, None] = {}
         for names in raw:
             if not isinstance(names, list):
                 raise ParseError(
@@ -188,9 +188,13 @@ def parse_constraints(
                 repeated = [n for n in names if names.count(n) > 1]
                 if repeated:
                     raise InvalidParameterError(f"attribute {repeated[0]!r} is repeated")
-                allowed.append(tuple(sorted(schema.attribute_index(n) for n in names)))
+                cols = tuple(sorted(schema.attribute_index(n) for n in names))
+                if cols in sets:
+                    raise InvalidParameterError(f"column set {names!r} is repeated")
+                sets[cols] = None
             except Exception as exc:
                 raise ParseError(f"allowed_column_sets: {exc}", filename=filename)
+        allowed = list(sets)
     try:
         constraints = ConstraintSet(
             hard=kinds["hard"], soft=kinds["soft"], dont_care=kinds["dont_care"]

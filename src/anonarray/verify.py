@@ -94,9 +94,13 @@ def _scan(
         column_sets = list(enumerate_column_sets(array.k, t))
     else:
         column_sets = [tuple(sorted(cs)) for cs in allowed_column_sets]
+        seen = set()
         for cs in column_sets:
             if len(set(cs)) != t or any(not 0 <= c < array.k for c in cs):
                 raise InvalidParameterError(f"invalid column set {cs} for t={t}")
+            if cs in seen:
+                raise InvalidParameterError(f"column set {cs} is repeated")
+            seen.add(cs)
 
     best: Optional[int] = None
     witness: Optional[Tuple[ColumnSet, Credential, int]] = None

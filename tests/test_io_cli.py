@@ -114,6 +114,14 @@ class TestDocuments:
             parse_constraints(doc, schema, filename="c.json")
         assert str(exc.value) == "c.json: allowed_column_sets: attribute 'Role' is repeated"
 
+    def test_repeated_allowed_column_set_names_the_file(self, schema):
+        doc = json.dumps({"allowed_column_sets": [["Role", "Job"], ["Job", "Role"]]})
+        with pytest.raises(ParseError) as exc:
+            parse_constraints(doc, schema, filename="c.json")
+        assert str(exc.value) == (
+            "c.json: allowed_column_sets: column set ['Job', 'Role'] is repeated"
+        )
+
     def test_overlapping_kinds_rejected(self, schema):
         doc = json.dumps(
             {

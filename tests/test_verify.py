@@ -88,6 +88,11 @@ class TestComputeGuarantee:
         with pytest.raises(InvalidParameterError, match=r"invalid column set \(0, 0\) for t=2"):
             compute_guarantee(array_a, 2, allowed_column_sets=[(0, 1), (0, 0)])
 
+    def test_repeated_column_set_rejected(self, array_a):
+        # counted twice, each short credential on it would be listed twice
+        with pytest.raises(InvalidParameterError, match=r"column set \(0, 1\) is repeated"):
+            validate(array_a, 2, 2, allowed_column_sets=[(0, 1), (1, 3), (1, 0)])
+
     def test_dont_care_excluded_from_minimum(self, binary3_schema, full_factorial):
         # every pair on (a1, a2) is exempt; the minimum comes from elsewhere
         dc = ConstraintSet(
