@@ -25,7 +25,8 @@ from .model import (
 
 def _load_json(text: str, filename=None) -> dict:
     try:
-        doc = json.loads(text)
+        # spreadsheet "UTF-8" exports start with a byte order mark
+        doc = json.loads(text.removeprefix("\ufeff"))
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, filename=filename, line=exc.lineno, column=exc.colno)
     if not isinstance(doc, dict):
@@ -69,7 +70,7 @@ def serialize_schema(schema: AttributeSchema) -> str:
 
 
 def parse_array(text: str, schema: AttributeSchema, filename=None) -> AccessProfileArray:
-    reader = csv.reader(_io.StringIO(text))
+    reader = csv.reader(_io.StringIO(text.removeprefix("\ufeff")))
     try:
         header = next(reader)
     except StopIteration:

@@ -214,6 +214,17 @@ class TestCliVerify:
         assert doc["format_version"] == 1
         assert doc["r"] == 2
 
+    _INPUTS = ("university_schema.json", "array_a.csv", "university_constraints.json")
+
+    @pytest.mark.parametrize("marked", _INPUTS)
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path, marked):
+        # spreadsheet "UTF-8" exports start with U+FEFF
+        text = (FIXTURES / marked).read_text(encoding="utf-8")
+        (tmp_path / marked).write_text("\ufeff" + text, encoding="utf-8")
+        paths = [tmp_path / n if n == marked else FIXTURES / n for n in self._INPUTS]
+        expected = run(capsys, "verify", *(FIXTURES / n for n in self._INPUTS), "--t", "2")
+        assert run(capsys, "verify", *paths, "--t", "2") == expected
+
     def test_parse_error_exit_1(self, capsys, tmp_path):
         broken = tmp_path / "broken.json"
         broken.write_text("{not json")
