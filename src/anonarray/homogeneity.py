@@ -53,7 +53,7 @@ class HomogeneityReport(_Frozen):
 
 def _group(keys: Iterable[Hashable]) -> Dict[Hashable, List[int]]:
     """Row indices by key (a row, or its code on one column set), ascending."""
-    groups: Dict[int, List[int]] = {}
+    groups: Dict[Hashable, List[int]] = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
     return groups
