@@ -4,11 +4,10 @@ Rows sharing a size-t credential form a neighborhood (a hyperedge).  The
 weight of a pair of rows on a credential is 1/|neighborhood| when both
 belong to it; closeness sums weights over all size-t credentials; local
 homogeneity averages a row's closeness over its distinct neighbors.
-`local_homogeneity` scores each distinct row once, since equal rows share
-every neighborhood: it groups each column set's distinct rows by code once,
-then sums a row's shares as one integer fraction and its degree from ORed
-bitmasks, and takes the mean as one exact fraction.  All arithmetic is
-exact (fractions); decimals appear only in rendering.
+`local_homogeneity` scores each distinct row once, grouping each column
+set's distinct rows by code; it sums a row's shares as one integer fraction,
+gets its degree from ORed bitmasks and takes the mean as one exact fraction.
+All arithmetic is exact (fractions); decimals appear only in rendering.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import json
 import math
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, repeat
+from itertools import repeat
 from operator import or_
 from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Tuple
 
@@ -125,13 +124,12 @@ def local_homogeneity(array: AccessProfileArray, t: int) -> HomogeneityReport:
     """Per-row homogeneity via the neighborhood accumulation shortcut.
 
     Equal rows share every neighborhood, so each distinct row is scored
-    once and its score given to all its copies.  Row i's C(k, t)
-    neighborhoods, of sizes m (summed over their distinct members' copies),
-    give sum((m - 1)/m) as one integer fraction over L = lcm(m), divided by
-    its degree: the popcount of the OR of its group bitmasks, minus one.
-    Isolated rows receive the sentinel C(k, t) and are listed separately.
-    The global score is the mean as one exact fraction over the lcm of the
-    distinct scores' denominators.
+    once, for all its copies.  Its C(k, t) neighborhoods, of sizes m
+    (counting copies), give sum((m - 1)/m) as one integer fraction over
+    L = lcm(m), divided by its degree: the copies of the distinct rows in
+    the OR of its group bitmasks, counted per bit plane of the copy
+    counts, minus one.  Isolated rows receive the sentinel C(k, t) and are
+    listed separately.  The mean is one exact fraction.
     """
     copies = _group(array.rows)
     members = list(copies.values())
@@ -140,15 +138,17 @@ def local_homogeneity(array: AccessProfileArray, t: int) -> HomogeneityReport:
     distinct = AccessProfileArray(array.schema, copies)
     for _, codes in _codes(distinct, enumerate_column_sets(array.k, t)):
         keys = list(codes)
-        # one size int and one mask of row indices per group, shared by its
-        # distinct rows; 0 for a lone row
+        # one size int and one mask per group, shared by its distinct rows;
+        # 0 for a lone row
         size_of, mask_of = {}, {}
         for key, group in _group(keys).items():
             size_of[key] = m = sum(map(weights.__getitem__, group))
-            rows = chain.from_iterable(map(members.__getitem__, group))
-            mask_of[key] = reduce(or_, map((1).__lshift__, rows)) if m > 1 else 0
+            mask_of[key] = reduce(or_, map((1).__lshift__, group)) if m > 1 else 0
         sizes.append(list(map(size_of.__getitem__, keys)))
         masks.append(list(map(mask_of.__getitem__, keys)))
+    # planes[b]: the distinct rows whose copy count has bit b set
+    bits = range(max(weights).bit_length())
+    planes = [sum(1 << d for d, w in enumerate(weights) if w >> b & 1) for b in bits]
 
     sentinel = Fraction(math.comb(array.k, t))
     scores, local, isolated = [], [sentinel] * array.n_rows, set()
@@ -157,7 +157,8 @@ def local_homogeneity(array: AccessProfileArray, t: int) -> HomogeneityReport:
         if union:
             lcm = math.lcm(*row_sizes)
             shares = lcm * len(row_sizes) - sum(map(lcm.__floordiv__, row_sizes))
-            score = Fraction(shares, lcm * (union.bit_count() - 1))
+            degree = sum((union & p).bit_count() << b for b, p in enumerate(planes)) - 1
+            score = Fraction(shares, lcm * degree)
             for i in rows:
                 local[i] = score
         else:
