@@ -131,12 +131,12 @@ def local_homogeneity(array: AccessProfileArray, t: int) -> HomogeneityReport:
     counts, minus one.  Isolated rows receive the sentinel C(k, t) and are
     listed separately.  The mean is one exact fraction.
     """
-    copies = _group(array.rows)
-    members = list(copies.values())
-    weights = list(map(len, members))
+    distinct, copies = zip(*_group(array.rows).items())
+    weights = list(map(len, copies))
     sizes, masks = [], []
-    distinct = AccessProfileArray(array.schema, copies)
-    for _, codes in _codes(distinct, enumerate_column_sets(array.k, t)):
+    for _, codes in _codes(
+        AccessProfileArray(array.schema, distinct), enumerate_column_sets(array.k, t)
+    ):
         keys = list(codes)
         # one size int and one mask per group, shared by its distinct rows;
         # 0 for a lone row
@@ -152,7 +152,7 @@ def local_homogeneity(array: AccessProfileArray, t: int) -> HomogeneityReport:
 
     sentinel = Fraction(math.comb(array.k, t))
     scores, local, isolated = [], [sentinel] * array.n_rows, set()
-    for rows, row_sizes, row_masks in zip(members, zip(*sizes), zip(*masks)):
+    for rows, row_sizes, row_masks in zip(copies, zip(*sizes), zip(*masks)):
         union = reduce(or_, row_masks)
         if union:
             lcm = math.lcm(*row_sizes)

@@ -400,7 +400,7 @@ def test_criterion_10_homogeneity_at_the_documented_limit():
 
 def test_criterion_13_homogeneity_scores_each_distinct_row_once():
     # 20000 rows drawn from 2000: scoring every row on its own peaks near
-    # 37 MB, scoring each distinct row once near 21 MB
+    # 37 MB, scoring each distinct row once near 20 MB
     n, distinct, budget_mb = 20000, 2000, 30
     started = time.monotonic()
     scored, peak_mb = _score_in_worker(n, distinct)
