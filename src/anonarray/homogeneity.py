@@ -204,13 +204,12 @@ def export_hypergraph(array: AccessProfileArray, t: int, format: str) -> str:
         )
     names = [a.name for a in array.schema.attributes]
     labels = [a.values for a in array.schema.attributes]
-    ids = list(map(str, range(array.n_rows)))
     edges = (
         (
             e,
             [names[c] for c in cols],
             [labels[c][v] for c, v in zip(cols, values)],
-            map(ids.__getitem__, members),
+            members,
         )
         for e, (cols, values, members) in enumerate(_edges(array, t))
     )
@@ -230,7 +229,7 @@ def export_hypergraph(array: AccessProfileArray, t: int, format: str) -> str:
         edge_docs = (
             f'{{\n      "id": {e},\n      "columns": {listed(map(quote, columns))},'
             f'\n      "values": {listed(map(quote, values))},'
-            f'\n      "members": {listed(members)}\n    }}'
+            f'\n      "members": {listed(map(str, members))}\n    }}'
             for e, columns, values, members in edges
         )
         return (
@@ -240,7 +239,7 @@ def export_hypergraph(array: AccessProfileArray, t: int, format: str) -> str:
     lines = [f"vertices: {array.n_rows}"]
     for e, columns, values, members in edges:
         lines.append(
-            f"edge {e}: {{{','.join(members)}}} "
+            f"edge {e}: {{{','.join(map(str, members))}}} "
             f"columns={','.join(columns)} values={','.join(values)}"
         )
     return "\n".join(lines) + "\n"
