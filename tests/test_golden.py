@@ -43,6 +43,11 @@ _FAMILIES = (
 )
 
 
+# arrays whose closeness matrix is pinned, text and JSON, at t = 1 and 2
+_CLOSENESS = ("array_a.csv", "full_factorial.csv", "fractional_replicated.csv",
+              "halfspace_array.csv", "two_groups.csv")
+
+
 def _stem(name):
     return name.rsplit(".", 1)[0]
 
@@ -72,6 +77,11 @@ def cases():
                     "homogeneity", schema, array, "--t", str(t),
                     "--hypergraph", "text",
                 ]
+            if array in _CLOSENESS:
+                for t in (1, 2):
+                    argv = ["homogeneity", schema, array, "--t", str(t), "--closeness"]
+                    out["homogeneity"][f"{_stem(array)}/t{t}/closeness"] = [*argv, "--json"]
+                    out["homogeneity"][f"{_stem(array)}/t{t}/closeness/text"] = argv
         for cons in constraint_files:
             for t in (1, 2, 3):
                 out["constraints-derive"][f"{_stem(cons)}/t{t}"] = [
