@@ -26,7 +26,6 @@ from .errors import (
     BudgetExceededError,
     InfeasibleError,
     InvalidParameterError,
-    ParseError,
 )
 from .io import (
     load_array,
@@ -46,10 +45,17 @@ EXIT_INFEASIBLE = 5
 
 _HYPERGRAPH_FMT = {"json": "structured-json", "text": "graph-description-text"}
 
+# exit code per error class; any other package or OS error exits EXIT_PARSE
+_EXIT_CODES = {InfeasibleError: EXIT_INFEASIBLE, BudgetExceededError: EXIT_BUDGET}
+
 
 def _load_inputs(args):
+    """(schema, array or None, constraints, allowed column sets or None)."""
     schema = load_schema(args.schema)
-    array = load_array(args.array, schema) if getattr(args, "array", None) else None
+    path = getattr(args, "array", None)
+    if args.command == "construct" and path == "-":
+        path = None  # build from scratch
+    array = load_array(path, schema) if path else None
     constraints, allowed = EMPTY_CONSTRAINTS, None
     if getattr(args, "constraints", None):
         constraints, allowed = load_constraints(args.constraints, schema)
@@ -162,6 +168,12 @@ def cmd_homogeneity(args) -> int:
         raise InvalidParameterError("--hypergraph-out needs --hypergraph FORMAT")
     schema, array, _, _ = _load_inputs(args)
     report = hom.local_homogeneity(array, args.t)
+    closeness = None
+    if args.closeness:
+        closeness = [
+            [hom.render_score(x) for x in row]
+            for row in hom.closeness_matrix(array, args.t)
+        ]
     if args.json:
         doc = {
             "format_version": FORMAT_VERSION,
@@ -172,9 +184,8 @@ def cmd_homogeneity(args) -> int:
             "local": [hom.render_score(x) for x in report.local],
             "isolated": sorted(report.isolated),
         }
-        if args.closeness:
-            matrix = hom.closeness_matrix(array, args.t)
-            doc["closeness"] = [[hom.render_score(x) for x in row] for row in matrix]
+        if closeness is not None:
+            doc["closeness"] = closeness
         print(json.dumps(doc, indent=2))
     else:
         print(
@@ -185,10 +196,8 @@ def cmd_homogeneity(args) -> int:
         for i, score in enumerate(report.local):
             mark = " (isolated)" if i in report.isolated else ""
             print(f"row {i + 1}: {hom.render_score(score)}{mark}")
-        if args.closeness:
-            matrix = hom.closeness_matrix(array, args.t)
-            for row in matrix:
-                print(" ".join(hom.render_score(x) for x in row))
+        for row in closeness or ():
+            print(" ".join(row))
     if args.hypergraph:
         text = hom.export_hypergraph(array, args.t, _HYPERGRAPH_FMT[args.hypergraph])
         if args.hypergraph_out:
@@ -200,13 +209,7 @@ def cmd_homogeneity(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    schema = load_schema(args.schema)
-    base = None
-    if args.array and args.array != "-":
-        base = load_array(args.array, schema)
-    constraints = EMPTY_CONSTRAINTS
-    if args.constraints:
-        constraints, _ = load_constraints(args.constraints, schema)
+    schema, base, constraints, _ = _load_inputs(args)
     weight = args.homogeneity_weight
     if math.isfinite(weight):  # the config rejects nan and inf
         weight = Fraction(weight).limit_denominator(10**6)
@@ -219,15 +222,7 @@ def cmd_construct(args) -> int:
         restarts=args.restarts,
         homogeneity_weight=weight,
     )
-    try:
-        result = construct_mod.construct_padding(base, constraints, config, schema=schema)
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except BudgetExceededError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_BUDGET
-
+    result = construct_mod.construct_padding(base, constraints, config, schema=schema)
     text = serialize_array(result.array)
     to_file = args.output and args.output != "-"
     if to_file:
@@ -260,8 +255,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_constraints_derive(args) -> int:
-    schema = load_schema(args.schema)
-    constraints, _ = load_constraints(args.constraints, schema)
+    schema, _, constraints, _ = _load_inputs(args)
     report = check_feasibility(schema, constraints, args.t)
     derived = report.implicit_hard
     # an infeasible report without a witness has no legal row at all
@@ -301,42 +295,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verify, score, and construct anonymizing arrays.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    array = ("array", None, "array CSV file")
+    constraints = ("constraints", "?", "constraints JSON file")
 
-    def common(p, array_required=True, needs_constraints=True):
+    def command(name, func, help, *positionals):
+        """Subparser taking the schema, then (dest, nargs, help) positionals."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("schema", help="schema JSON file")
-        if array_required:
-            p.add_argument("array", help="array CSV file")
-        if needs_constraints:
-            p.add_argument("constraints", nargs="?", help="constraints JSON file")
+        for dest, nargs, text in positionals:
+            p.add_argument(dest, nargs=nargs, help=text)
         p.add_argument("--json", action="store_true", help="machine-readable output")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("verify", help="compute the anonymity guarantee")
-    common(p)
+    p = command(
+        "verify", cmd_verify, "compute the anonymity guarantee", array, constraints
+    )
     p.add_argument("--t", type=int, required=True, help="maximum credential size")
     p.add_argument("--r", type=int, help="target guarantee to validate against")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("profile", help="full (t, r) anonymity profile")
-    common(p)
-    p.set_defaults(func=cmd_profile)
+    command("profile", cmd_profile, "full (t, r) anonymity profile", array, constraints)
 
-    p = sub.add_parser("homogeneity", help="local/global homogeneity scores")
-    common(p, needs_constraints=False)
+    p = command(
+        "homogeneity", cmd_homogeneity, "local/global homogeneity scores", array
+    )
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--closeness", action="store_true", help="dump the closeness matrix")
     p.add_argument(
         "--hypergraph", choices=sorted(_HYPERGRAPH_FMT), help="export the hypergraph"
     )
     p.add_argument("--hypergraph-out", help="write the export to this file")
-    p.set_defaults(func=cmd_homogeneity)
 
-    p = sub.add_parser("construct", help="append padding rows to reach a target")
-    p.add_argument("schema", help="schema JSON file")
-    p.add_argument(
-        "array", nargs="?", help="base array CSV file (optional; '-' for none)"
+    p = command(
+        "construct", cmd_construct, "append padding rows to reach a target",
+        ("array", "?", "base array CSV file (optional; '-' for none)"), constraints,
     )
-    p.add_argument("constraints", nargs="?", help="constraints JSON file")
-    p.add_argument("--json", action="store_true")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -345,31 +338,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=3)
     p.add_argument("--homogeneity-weight", type=float, default=0.0)
     p.add_argument("-o", "--output", default="-", help="output array file (- = stdout)")
-    p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser(
-        "constraints-derive", help="derive implicit hard constraints and feasibility"
+    p = command(
+        "constraints-derive", cmd_constraints_derive,
+        "derive implicit hard constraints and feasibility",
+        ("constraints", None, "constraints JSON file"),
     )
-    p.add_argument("schema", help="schema JSON file")
-    p.add_argument("constraints", help="constraints JSON file")
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_constraints_derive)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError) as exc:
+    except (AnonArrayError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except AnonArrayError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _EXIT_CODES.get(type(exc), EXIT_PARSE)
 
 
 if __name__ == "__main__":

@@ -225,16 +225,18 @@ def serialize_constraints(constraints: ConstraintSet, schema: AttributeSchema) -
     )
 
 
-def load_schema(path) -> AttributeSchema:
+def _read(path) -> str:
     with open(path, encoding="utf-8") as fh:
-        return parse_schema(fh.read(), filename=str(path))
+        return fh.read()
+
+
+def load_schema(path) -> AttributeSchema:
+    return parse_schema(_read(path), filename=str(path))
 
 
 def load_array(path, schema: AttributeSchema) -> AccessProfileArray:
-    with open(path, encoding="utf-8") as fh:
-        return parse_array(fh.read(), schema, filename=str(path))
+    return parse_array(_read(path), schema, filename=str(path))
 
 
 def load_constraints(path, schema: AttributeSchema):
-    with open(path, encoding="utf-8") as fh:
-        return parse_constraints(fh.read(), schema, filename=str(path))
+    return parse_constraints(_read(path), schema, filename=str(path))
