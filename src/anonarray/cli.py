@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands: verify, profile, homogeneity, construct, constraints-derive.
-Exit codes: 0 success, 1 parse, schema or invalid-parameter error (such
-as `verify --t 9` on four attributes or `construct --r 1`) or an exhausted
-row-completion search budget, 2 anonymity violation, 3 hard-constraint
-violation, 4 row budget exceeded, 5 infeasible constraint system.  Machine
-output (--json) is versioned; human output may evolve.
+Exit codes: 0 success, 1 usage, parse, schema or invalid-parameter error
+(such as `verify --t abc`, a file that is not UTF-8, or `construct --r 1`)
+or an exhausted row-completion search budget, 2 guarantee below target,
+3 hard-constraint violation, 4 row budget exceeded, 5 infeasible constraint
+system.  Failures print `error: ...` to stderr.  Machine output (--json)
+is versioned; human output may evolve.
 """
 
 from __future__ import annotations
@@ -44,18 +45,21 @@ EXIT_BUDGET = 4
 EXIT_INFEASIBLE = 5
 
 _HYPERGRAPH_FMT = {"json": "structured-json", "text": "graph-description-text"}
-
-# exit code per error class; any other package or OS error exits EXIT_PARSE
 _EXIT_CODES = {InfeasibleError: EXIT_INFEASIBLE, BudgetExceededError: EXIT_BUDGET}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1, not 2, which means "below target"
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
 def _load_inputs(args):
     """(schema, array or None, constraints, allowed column sets or None)."""
     schema = load_schema(args.schema)
     path = getattr(args, "array", None)
-    if args.command == "construct" and path == "-":
-        path = None  # build from scratch
-    array = load_array(path, schema) if path else None
+    no_base = args.command == "construct" and path == "-"  # build from scratch
+    array = load_array(path, schema) if path and not no_base else None
     constraints, allowed = EMPTY_CONSTRAINTS, None
     if getattr(args, "constraints", None):
         constraints, allowed = load_constraints(args.constraints, schema)
@@ -67,6 +71,10 @@ def _credential_doc(cred, schema):
         [schema.attributes[a].name, schema.attributes[a].values[v]]
         for a, v in cred.pairs
     ]
+
+
+def _hard_docs(violations, schema):
+    return [{"row": i, "constraint": _credential_doc(c, schema)} for i, c in violations]
 
 
 def _warn_trivial(schema):
@@ -92,10 +100,7 @@ def cmd_verify(args) -> int:
             "t": report.t,
             "r": report.r,
             "min_witness": None,
-            "hard_violations": [
-                {"row": i, "constraint": _credential_doc(c, schema)}
-                for i, c in report.hard_violations
-            ],
+            "hard_violations": _hard_docs(report.hard_violations, schema),
             "soft_appearances": [
                 {"credential": _credential_doc(c, schema), "count": n}
                 for c, n in report.soft_appearances
@@ -112,11 +117,7 @@ def cmd_verify(args) -> int:
             doc["r_target"] = args.r
             doc["valid"] = result.ok
             doc["violations"] = [
-                {
-                    "credential": _credential_doc(c, schema),
-                    "count": n,
-                    "kind": kind,
-                }
+                {"credential": _credential_doc(c, schema), "count": n, "kind": kind}
                 for _, c, n, kind in result.violations
             ]
         print(json.dumps(doc, indent=2))
@@ -143,16 +144,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    schema, array, constraints, _ = _load_inputs(args)
+    schema, array, constraints, allowed = _load_inputs(args)
+    if allowed is not None:  # they have size t, and profile varies t
+        raise InvalidParameterError(
+            f"{args.constraints}: profile does not take allowed_column_sets"
+        )
     profile = verify_mod.anonymity_profile(array, constraints)
     if args.json:
         doc = {
             "format_version": FORMAT_VERSION,
             "entries": [{"t": t, "r": r} for t, r in profile.entries],
-            "hard_violations": [
-                {"row": i, "constraint": _credential_doc(c, schema)}
-                for i, c in profile.hard_violations
-            ],
+            "hard_violations": _hard_docs(profile.hard_violations, schema),
         }
         print(json.dumps(doc, indent=2))
     else:
@@ -168,12 +170,8 @@ def cmd_homogeneity(args) -> int:
         raise InvalidParameterError("--hypergraph-out needs --hypergraph FORMAT")
     schema, array, _, _ = _load_inputs(args)
     report = hom.local_homogeneity(array, args.t)
-    closeness = None
-    if args.closeness:
-        closeness = [
-            [hom.render_score(x) for x in row]
-            for row in hom.closeness_matrix(array, args.t)
-        ]
+    matrix = hom.closeness_matrix(array, args.t) if args.closeness else ()
+    closeness = [[hom.render_score(x) for x in row] for row in matrix]
     if args.json:
         doc = {
             "format_version": FORMAT_VERSION,
@@ -184,7 +182,7 @@ def cmd_homogeneity(args) -> int:
             "local": [hom.render_score(x) for x in report.local],
             "isolated": sorted(report.isolated),
         }
-        if closeness is not None:
+        if args.closeness:
             doc["closeness"] = closeness
         print(json.dumps(doc, indent=2))
     else:
@@ -196,7 +194,7 @@ def cmd_homogeneity(args) -> int:
         for i, score in enumerate(report.local):
             mark = " (isolated)" if i in report.isolated else ""
             print(f"row {i + 1}: {hom.render_score(score)}{mark}")
-        for row in closeness or ():
+        for row in closeness:
             print(" ".join(row))
     if args.hypergraph:
         text = hom.export_hypergraph(array, args.t, _HYPERGRAPH_FMT[args.hypergraph])
@@ -290,7 +288,7 @@ def cmd_constraints_derive(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="anonarray",
         description="Verify, score, and construct anonymizing arrays.",
     )

@@ -29,6 +29,8 @@ def _load_json(text: str, filename=None) -> dict:
         doc = json.loads(text.removeprefix("\ufeff"))
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, filename=filename, line=exc.lineno, column=exc.colno)
+    except RecursionError:
+        raise ParseError("JSON nested too deeply", filename=filename)
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object", filename=filename)
     return doc
@@ -69,8 +71,16 @@ def serialize_schema(schema: AttributeSchema) -> str:
     )
 
 
+def _records(reader, filename):
+    """The reader's records, streamed; malformed CSV is a ParseError."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(str(exc), filename=filename, line=reader.line_num)
+
+
 def parse_array(text: str, schema: AttributeSchema, filename=None) -> AccessProfileArray:
-    reader = csv.reader(_io.StringIO(text.removeprefix("\ufeff")))
+    reader = _records(csv.reader(_io.StringIO(text.removeprefix("\ufeff"))), filename)
     try:
         header = next(reader)
     except StopIteration:
@@ -227,7 +237,11 @@ def serialize_constraints(constraints: ConstraintSet, schema: AttributeSchema) -
 
 def _read(path) -> str:
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            msg = f"byte {exc.start} is not UTF-8; the file must be UTF-8 text"
+            raise ParseError(msg, filename=str(path))
 
 
 def load_schema(path) -> AttributeSchema:

@@ -234,6 +234,37 @@ class TestCliVerify:
         assert code == 1
         assert "broken.json" in err
 
+    @pytest.mark.parametrize(
+        "name, mangle, found",
+        [
+            # a spreadsheet's "Unicode text" export starts with bytes FF FE
+            ("array_a.csv", lambda t: t.encode("utf-16"), ": byte 0 is not"),
+            # the offset is that of the first non-ASCII byte, the e-umlaut
+            (
+                "university_schema.json",
+                lambda t: t.replace("Fall", "F\xe4ll").encode("latin-1"),
+                ": byte {} is not UTF-8; the file must be UTF-8 text",
+            ),
+            ("university_constraints.json", lambda t: b"[" * 200_000,
+             ": JSON nested too deeply"),
+            (
+                "array_a.csv",
+                lambda t: t.replace("\n", "\n" + "x" * 200_000 + ",", 1).encode(),
+                ", line 2: field larger than field limit (131072)",
+            ),
+        ],
+        ids=["utf16-array", "latin1-schema", "deep-constraints", "huge-cell"],
+    )
+    def test_unreadable_input_exit_1(self, capsys, tmp_path, name, mangle, found):
+        text = (FIXTURES / name).read_text(encoding="utf-8")
+        (tmp_path / name).write_bytes(mangle(text))
+        paths = [tmp_path / n if n == name else FIXTURES / n for n in self._INPUTS]
+        code, out, err = run(capsys, "verify", *paths, "--t", "2")
+        assert (code, out) == (1, "")
+        found = found.format(text.find("Fall") + 1)
+        assert err.startswith(f"error: {tmp_path / name}{found}")
+        assert err.count("\n") == 1
+
 
 class TestCliProfile:
     def test_array_b(self, capsys):
@@ -252,6 +283,20 @@ class TestCliProfile:
             {"t": 2, "r": 2},
             {"t": 3, "r": 1},
         ]
+
+    def test_allowed_column_sets_refused(self, capsys, tmp_path):
+        # the sets have size t, and profile varies t
+        cons = tmp_path / "c.json"
+        cons.write_text(json.dumps({"allowed_column_sets": [["Role", "Job"]]}))
+        code, out, err = run(
+            capsys,
+            "profile",
+            FIXTURES / "university_schema.json",
+            FIXTURES / "array_b.csv",
+            cons,
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {cons}: profile does not take allowed_column_sets\n"
 
 
 class TestCliHomogeneity:
@@ -464,7 +509,7 @@ class TestCliConstruct:
         assert doc["rows"] == 12
 
     def test_budget_exit_4(self, capsys):
-        code, _, _ = run(
+        code, _, err = run(
             capsys,
             "construct",
             FIXTURES / "university_schema.json",
@@ -478,6 +523,7 @@ class TestCliConstruct:
             "8",
         )
         assert code == 4
+        assert err.startswith("error: row budget exhausted with ")
 
     def test_same_seed_same_output(self, capsys, tmp_path):
         outputs = []
@@ -535,8 +581,17 @@ class TestCliOptions:
         argv = [str(FIXTURES / a) if a.endswith((".json", ".csv")) else a for a in argv]
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--threads", "2"])
-        assert exc.value.code == 2
+        assert exc.value.code == 1
         assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t", [["--t", "abc"], []], ids=["t-not-int", "t-missing"])
+    def test_usage_error_exit_1_not_2(self, capsys, t):
+        # 2 means "guarantee below target", so a typo must not exit 2
+        argv = [str(FIXTURES / "university_schema.json"), str(FIXTURES / "array_a.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv, *t])
+        assert exc.value.code == 1
+        assert "error: " in capsys.readouterr().err
 
 
 class TestCliConstraintsDerive:
