@@ -171,7 +171,7 @@ def cmd_homogeneity(args) -> int:
     schema, array, _, _ = _load_inputs(args)
     report = hom.local_homogeneity(array, args.t)
     matrix = hom.closeness_matrix(array, args.t) if args.closeness else ()
-    closeness = [[hom.render_score(x) for x in row] for row in matrix]
+    closeness = (map(hom.render_score, row) for row in matrix)  # rendered lazily
     if args.json:
         doc = {
             "format_version": FORMAT_VERSION,
@@ -183,7 +183,7 @@ def cmd_homogeneity(args) -> int:
             "isolated": sorted(report.isolated),
         }
         if args.closeness:
-            doc["closeness"] = closeness
+            doc["closeness"] = [list(row) for row in closeness]
         print(json.dumps(doc, indent=2))
     else:
         print(
