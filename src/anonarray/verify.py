@@ -1,9 +1,9 @@
 """Anonymity guarantee computation and validation.
 
 The guarantee r for a maximum credential size t is the smallest number of
-rows sharing any appearing size-t credential, minimized over every allowed
-t-subset of columns; don't-care credentials are exempt.  A row holding a
-hard constraint of at most t pairs forces r = 0; larger ones are ignored.
+rows sharing any appearing size-t credential on an allowed t-subset of
+columns; don't-care credentials are exempt, and a row holding a hard
+constraint of at most t pairs forces r = 0.
 """
 
 from __future__ import annotations
