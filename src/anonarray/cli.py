@@ -55,7 +55,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_inputs(args):
-    """(schema, array or None, constraints, allowed column sets or None)."""
     schema = load_schema(args.schema)
     path = getattr(args, "array", None)
     no_base = args.command == "construct" and path == "-"  # build from scratch
@@ -170,8 +169,6 @@ def cmd_homogeneity(args) -> int:
         raise InvalidParameterError("--hypergraph-out needs --hypergraph FORMAT")
     schema, array, _, _ = _load_inputs(args)
     report = hom.local_homogeneity(array, args.t)
-    matrix = hom.closeness_matrix(array, args.t) if args.closeness else ()
-    closeness = (map(hom.render_score, row) for row in matrix)  # rendered lazily
     if args.json:
         doc = {
             "format_version": FORMAT_VERSION,
@@ -183,7 +180,8 @@ def cmd_homogeneity(args) -> int:
             "isolated": sorted(report.isolated),
         }
         if args.closeness:
-            doc["closeness"] = [list(row) for row in closeness]
+            matrix = hom.closeness_matrix(array, args.t)
+            doc["closeness"] = [[hom.render_score(x) for x in row] for row in matrix]
         print(json.dumps(doc, indent=2))
     else:
         print(
@@ -194,8 +192,10 @@ def cmd_homogeneity(args) -> int:
         for i, score in enumerate(report.local):
             mark = " (isolated)" if i in report.isolated else ""
             print(f"row {i + 1}: {hom.render_score(score)}{mark}")
-        for row in closeness:
-            print(" ".join(row))
+        if args.closeness:
+            matrix = hom.closeness_matrix(array, args.t)
+            for row in matrix:
+                print(" ".join(hom.render_score(x) for x in row))
     if args.hypergraph:
         text = hom.export_hypergraph(array, args.t, _HYPERGRAPH_FMT[args.hypergraph])
         if args.hypergraph_out:

@@ -238,7 +238,11 @@ class TestCliVerify:
         "name, mangle, found",
         [
             # a spreadsheet's "Unicode text" export starts with bytes FF FE
-            ("array_a.csv", lambda t: t.encode("utf-16"), ": byte 0 is not"),
+            (
+                "array_a.csv",
+                lambda t: t.encode("utf-16"),
+                ": byte 0 is not UTF-8; the file must be UTF-8 text",
+            ),
             # the offset is that of the first non-ASCII byte, the e-umlaut
             (
                 "university_schema.json",
