@@ -35,9 +35,10 @@ def brute_force_neighborhoods(array, t):
 
 def brute_force_guarantee(array, t, constraints):
     """Minimum row count over all realizable size-t credentials; 0 when a
-    hard-classified credential appears."""
+    row holds a hard constraint of any size, whatever t is."""
+    if any(h.contained_in_row(row) for h in constraints.hard for row in array.rows):
+        return 0
     schema = array.schema
-    hard_seen = False
     counts = []
     for cols in combinations(range(schema.k), t):
         for values in product(*(range(schema.sizes[c]) for c in cols)):
@@ -47,15 +48,8 @@ def brute_force_guarantee(array, t, constraints):
                 for row in array.rows
                 if all(row[c] == v for c, v in zip(cols, values))
             )
-            if count == 0:
-                continue
-            kind = classify(cred, constraints)
-            if kind == HARD:
-                hard_seen = True
-            if kind != DONT_CARE:
+            if count and classify(cred, constraints) != DONT_CARE:
                 counts.append(count)
-    if hard_seen:
-        return 0
     return min(counts) if counts else array.n_rows
 
 

@@ -74,8 +74,9 @@ def arrays_with_constraints(draw, **kwargs):
     schema = array.schema
     t = draw(st.integers(1, schema.k))
 
+    # hard constraints larger than t must still force r = 0
     def credential():
-        size = draw(st.integers(1, t))
+        size = draw(st.integers(1, schema.k))
         cols = draw(
             st.lists(
                 st.integers(0, schema.k - 1), min_size=size, max_size=size, unique=True
