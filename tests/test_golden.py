@@ -8,6 +8,9 @@ Refactors must leave every one of them unchanged.
 Regenerate (only when an output change is intended and stated):
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints the id of each case whose result changed, as pytest names it,
+before writing the files.
 """
 
 import io
@@ -170,12 +173,22 @@ def test_output_matches_golden(command, case, argv, tmp_path):
         assert got["output"].encode("utf-8") == expected["output"].encode("utf-8")
 
 
+_RESULT = ("exit", "stdout", "output")
+
+
 def regenerate():
+    """Rewrite the golden files, first printing the id of every case whose
+    exit code, stdout or output file differs from its golden (or is new)."""
     GOLDEN.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as workdir:
         for command, table in cases().items():
+            old = _golden(command) if (GOLDEN / f"{command}.json").exists() else {}
             doc = {case: {"argv": argv, **run_case(argv, workdir)}
                    for case, argv in table.items()}
+            for case, got in doc.items():
+                before = old.get(case, {})
+                if any(got[key] != before.get(key) for key in _RESULT):
+                    print(f"{command}:{case}")
             with open(GOLDEN / f"{command}.json", "w", encoding="utf-8") as fh:
                 json.dump(doc, fh, indent=1, sort_keys=True)
                 fh.write("\n")
