@@ -46,7 +46,7 @@ from .model import (
     _projector,
     enumerate_column_sets,
 )
-from .verify import GuaranteeReport, compute_guarantee
+from .verify import GuaranteeReport, _hard_violations, compute_guarantee
 
 _SEED_STRIDE = 0x9E3779B97F4A7C15
 
@@ -335,9 +335,12 @@ def construct_padding(
     feasibility = check_feasibility(schema, constraints, config.t)
     if not feasibility.feasible:
         raise InfeasibleError(feasibility, schema)
-    if any(map(_holds_any(constraints.hard), base_rows)):
+    violations = () if base is None else _hard_violations(base, constraints)
+    if violations:
+        i, h = violations[0]
         raise InvalidParameterError(
-            "base array violates hard constraints; padding cannot repair it"
+            f"base array row {i + 1} violates hard constraint {h.render(schema)}; "
+            "padding cannot repair it"
         )
     if config.max_rows is not None and config.max_rows < len(base_rows):
         raise InvalidParameterError("max_rows is smaller than the base array")

@@ -2,8 +2,9 @@
 
 The guarantee r for a maximum credential size t is the smallest number of
 rows sharing any appearing size-t credential on an allowed t-subset of
-columns; don't-care credentials are exempt, and a row holding a hard
-constraint of at most t pairs forces r = 0.
+columns; don't-care credentials are exempt.  A row holding a hard
+constraint is illegal at every t, whatever the constraint's size, and
+forces r = 0.
 """
 
 from __future__ import annotations
@@ -64,17 +65,12 @@ def _check_inputs(array: AccessProfileArray, t: int, constraints: ConstraintSet)
 
 
 def _hard_violations(
-    array: AccessProfileArray, t: int, constraints: ConstraintSet
+    array: AccessProfileArray, constraints: ConstraintSet
 ) -> Tuple[Tuple[int, Credential], ...]:
-    """(row, hard constraint) for each active constraint a row holds, by row
+    """(row, hard constraint) for each hard constraint a row holds, by row
     and then by constraint."""
     return tuple(
-        sorted(
-            (i, h)
-            for h in constraints.hard
-            if len(h) <= t
-            for i in _rows_holding(array, h)
-        )
+        sorted((i, h) for h in constraints.hard for i in _rows_holding(array, h))
     )
 
 
@@ -88,7 +84,7 @@ def _scan(
     """The guarantee report and every appearing credential short of
     r_target (none when r_target is 0), from one pass over the counts."""
     _check_inputs(array, t, constraints)
-    violations = _hard_violations(array, t, constraints)
+    violations = _hard_violations(array, constraints)
 
     if allowed_column_sets is None:
         column_sets = list(enumerate_column_sets(array.k, t))
@@ -201,8 +197,8 @@ def anonymity_profile(
 ) -> AnonymityProfile:
     """(t, r) pairs for t = 1 upward, stopping at the first r <= 1.
 
-    A hard violation collapses the profile to a single (t, 0) entry with
-    the violating rows attached.
+    A hard violation collapses the profile to the single entry (1, 0)
+    with the violating rows attached.
     """
     limit = array.k if t_max is None else t_max
     if not 1 <= limit <= array.k:

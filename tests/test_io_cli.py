@@ -270,6 +270,47 @@ class TestCliVerify:
         assert err.count("\n") == 1
 
 
+@pytest.fixture
+def doubled_factorial(tmp_path):
+    """binary3 inputs: every row twice and the hard constraint
+    {a1=0, a2=0, a3=0}, larger than t = 2, which rows 1 and 9 hold."""
+    lines = (FIXTURES / "full_factorial.csv").read_text().splitlines()
+    array = tmp_path / "doubled.csv"
+    array.write_text("\n".join(lines + lines[1:]) + "\n")
+    cons = tmp_path / "hard3.json"
+    cons.write_text(json.dumps({"hard": [[["a1", "0"], ["a2", "0"], ["a3", "0"]]]}))
+    return FIXTURES / "binary3_schema.json", array, cons
+
+
+class TestCliHardLargerThanT:
+    """A row holding a hard constraint is illegal at every t."""
+
+    HARD = "{(a1, 0), (a2, 0), (a3, 0)}"
+
+    def test_verify_reports_it(self, capsys, doubled_factorial):
+        code, out, _ = run(capsys, "verify", *doubled_factorial, "--t", "2", "--r", "2")
+        assert code == 3
+        assert [line for line in out.splitlines() if "hard" in line] == [
+            f"hard violation: row 1 contains {self.HARD}",
+            f"hard violation: row 9 contains {self.HARD}",
+        ]
+
+    def test_profile_collapses_at_t1(self, capsys, doubled_factorial):
+        code, out, _ = run(capsys, "profile", *doubled_factorial)
+        assert code == 3
+        assert out.splitlines()[0] == "t = 1: r = 0"
+
+    def test_construct_refuses_the_base(self, capsys, doubled_factorial):
+        code, out, err = run(
+            capsys, "construct", *doubled_factorial, "--t", "2", "--r", "2"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: base array row 1 violates hard constraint {self.HARD}; "
+            "padding cannot repair it\n"
+        )
+
+
 class TestCliProfile:
     def test_array_b(self, capsys):
         code, out, _ = run(
