@@ -388,7 +388,7 @@ def suggest_credential_size(
     """Largest t for which r_target is reachable within the row budget.
 
     Searches t from k downward, constructing with max_rows = row_budget;
-    returns (0, None) when no t works.
+    returns (0, None) when no t works.  A base holding a hard constraint raises.
     """
     if row_budget < base.n_rows:
         raise InvalidParameterError("row_budget must cover the base array")
@@ -400,7 +400,7 @@ def suggest_credential_size(
         )
         try:
             result = construct_padding(base, constraints, config)
-        except (BudgetExceededError, InfeasibleError, InvalidParameterError):
+        except (BudgetExceededError, InfeasibleError):
             continue
         return t, result
     return 0, None

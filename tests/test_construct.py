@@ -286,6 +286,13 @@ class TestSuggestCredentialSize:
         with pytest.raises(InvalidParameterError):
             suggest_credential_size(array_b, university_constraints, 2, 6)
 
+    def test_base_with_hard_violation_raises(self, binary3_schema, full_factorial):
+        # the base is illegal at every t, not out of reach at every t
+        cons = ConstraintSet(hard=frozenset({Credential(((0, 0), (1, 0), (2, 0)))}))
+        base = AccessProfileArray(binary3_schema, full_factorial.rows * 2)
+        with pytest.raises(InvalidParameterError, match="row 1 violates hard"):
+            suggest_credential_size(base, cons, 2, 40)
+
     def test_unreachable_returns_zero(self, binary3_schema):
         arr = AccessProfileArray(binary3_schema, ((0, 0, 0), (1, 1, 1)))
         t, result = suggest_credential_size(arr, ConstraintSet(), 3, 2)
