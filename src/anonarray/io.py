@@ -80,7 +80,8 @@ def _records(reader, filename):
 
 
 def parse_array(text: str, schema: AttributeSchema, filename=None) -> AccessProfileArray:
-    reader = _records(csv.reader(_io.StringIO(text.removeprefix("\ufeff"))), filename)
+    lines = csv.reader(_io.StringIO(text.removeprefix("\ufeff")))
+    reader = _records(lines, filename)
     try:
         header = next(reader)
     except StopIteration:
@@ -98,7 +99,7 @@ def parse_array(text: str, schema: AttributeSchema, filename=None) -> AccessProf
     index = [{label: v for v, label in enumerate(a.values)} for a in schema.attributes]
     rows = []
     labels: List[str] = []
-    for lineno, record in enumerate(reader, start=2):
+    for record in reader:
         cells = list(map(str.strip, record))
         if not any(cells):
             continue
@@ -109,7 +110,7 @@ def parse_array(text: str, schema: AttributeSchema, filename=None) -> AccessProf
             raise ParseError(
                 f"expected {schema.k} value cells, found {len(cells)}",
                 filename=filename,
-                line=lineno,
+                line=lines.line_num,
             )
         row = tuple(map(dict.get, index, cells))
         if None in row:
@@ -118,7 +119,7 @@ def parse_array(text: str, schema: AttributeSchema, filename=None) -> AccessProf
                 f"unknown value {cells[j]!r} for attribute "
                 f"{schema.attributes[j].name!r}",
                 filename=filename,
-                line=lineno,
+                line=lines.line_num,
                 column=j + (2 if has_id else 1),
             )
         rows.append(row)

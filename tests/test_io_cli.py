@@ -96,6 +96,20 @@ class TestDocuments:
             parse_array(text, schema, filename="bad.csv")
         assert str(exc.value) == "bad.csv, line 2: expected 4 value cells, found 3"
 
+    @pytest.mark.parametrize(
+        "record, error",
+        [
+            ("2,0,1,9", "line 4, column 4: unknown value '9' for attribute 'a3'"),
+            ("2,0,1", "line 4: expected 3 value cells, found 2"),
+        ],
+    )
+    def test_line_counted_past_a_cell_spanning_lines(self, record, error):
+        binary3 = load_schema(FIXTURES / "binary3_schema.json")
+        text = f'id,a1,a2,a3\n"a\nb",0,1,0\n{record}\n'
+        with pytest.raises(ParseError) as exc:
+            parse_array(text, binary3, filename="bad.csv")
+        assert str(exc.value) == f"bad.csv, {error}"
+
     def test_reordered_columns_rejected(self, schema):
         text = "Job,Role,Department,Semester\ninstructor,faculty,CS,Spring\n"
         with pytest.raises(ParseError):
