@@ -72,18 +72,18 @@ def serialize_schema(schema: AttributeSchema) -> str:
 
 
 def _records(reader, filename):
-    """The reader's records, streamed; malformed CSV is a ParseError."""
+    """(line, record) per record, streamed; malformed CSV is a ParseError."""
     try:
-        yield from reader
+        for record in reader:
+            yield reader.line_num, record
     except csv.Error as exc:
         raise ParseError(str(exc), filename=filename, line=reader.line_num)
 
 
 def parse_array(text: str, schema: AttributeSchema, filename=None) -> AccessProfileArray:
-    lines = csv.reader(_io.StringIO(text.removeprefix("\ufeff")))
-    reader = _records(lines, filename)
+    reader = _records(csv.reader(_io.StringIO(text.removeprefix("\ufeff"))), filename)
     try:
-        header = next(reader)
+        _, header = next(reader)
     except StopIteration:
         raise ParseError("empty array document", filename=filename, line=1)
     header = [h.strip() for h in header]
@@ -99,7 +99,7 @@ def parse_array(text: str, schema: AttributeSchema, filename=None) -> AccessProf
     index = [{label: v for v, label in enumerate(a.values)} for a in schema.attributes]
     rows = []
     labels: List[str] = []
-    for record in reader:
+    for lineno, record in reader:
         cells = list(map(str.strip, record))
         if not any(cells):
             continue
@@ -110,7 +110,7 @@ def parse_array(text: str, schema: AttributeSchema, filename=None) -> AccessProf
             raise ParseError(
                 f"expected {schema.k} value cells, found {len(cells)}",
                 filename=filename,
-                line=lines.line_num,
+                line=lineno,
             )
         row = tuple(map(dict.get, index, cells))
         if None in row:
@@ -119,7 +119,7 @@ def parse_array(text: str, schema: AttributeSchema, filename=None) -> AccessProf
                 f"unknown value {cells[j]!r} for attribute "
                 f"{schema.attributes[j].name!r}",
                 filename=filename,
-                line=lines.line_num,
+                line=lineno,
                 column=j + (2 if has_id else 1),
             )
         rows.append(row)
