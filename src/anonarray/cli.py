@@ -198,7 +198,7 @@ def cmd_homogeneity(args) -> int:
                 print(" ".join(hom.render_score(x) for x in row))
     if args.hypergraph:
         text = hom.export_hypergraph(array, args.t, _HYPERGRAPH_FMT[args.hypergraph])
-        if args.hypergraph_out and args.hypergraph_out != "-":
+        if args.hypergraph_out:
             with open(args.hypergraph_out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--hypergraph", choices=sorted(_HYPERGRAPH_FMT), help="export the hypergraph"
     )
-    p.add_argument("--hypergraph-out", help="hypergraph export file (- = stdout)")
+    p.add_argument("--hypergraph-out", help="write the export to this file")
 
     p = command(
         "construct", cmd_construct, "append padding rows to reach a target",

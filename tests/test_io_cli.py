@@ -397,15 +397,6 @@ class TestCliHomogeneity:
         doc = json.loads(out_file.read_text())
         assert len(doc["edges"]) == 6
 
-    def test_hypergraph_out_dash_is_stdout(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        argv = ["homogeneity", FIXTURES / "binary3_schema.json",
-                FIXTURES / "two_groups.csv", "--t", "2", "--hypergraph", "text"]
-        expected = run(capsys, *argv)
-        assert "edge" in expected[1]
-        assert run(capsys, *argv, "--hypergraph-out", "-") == expected
-        assert list(tmp_path.iterdir()) == []
-
     def test_hypergraph_out_without_format_is_rejected(self, capsys, tmp_path):
         out_file = tmp_path / "graph.json"
         code, out, err = run(
