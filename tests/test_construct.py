@@ -7,6 +7,8 @@ import pytest
 import anonarray.construct as construct_mod
 from anonarray import (
     AccessProfileArray,
+    AttributeDef,
+    AttributeSchema,
     BudgetExceededError,
     ConstraintSet,
     ConstructionConfig,
@@ -270,6 +272,28 @@ class TestConstructPadding:
         construct_padding(array_a, university_constraints, config)
         # one coded pass over the base for all four attempts
         assert passes == [array_a]
+
+    def test_draws_that_keep_hitting_hard_fall_back_to_complete(self, monkeypatch):
+        # a1..a9 must be 0, so a draw around a target is legal with
+        # probability 1/256: nearly every candidate comes from `complete`
+        schema = AttributeSchema(
+            tuple(AttributeDef(f"a{i + 1}", ("0", "1")) for i in range(10))
+        )
+        constraints = ConstraintSet(
+            hard=frozenset(Credential(((a, 1),)) for a in range(9))
+        )
+        fixed_cells, complete = [], construct_mod.complete
+
+        def counting_complete(schema, hard, fixed):
+            fixed_cells.append(dict(fixed))
+            return complete(schema, hard, fixed)
+
+        monkeypatch.setattr(construct_mod, "complete", counting_complete)
+        config = ConstructionConfig(r_target=2, t=2, seed=0)
+        result = construct_padding(None, constraints, config, schema=schema)
+        assert any(fixed_cells)
+        assert validate(result.array, 2, 2, constraints).ok
+        assert result.array.n_rows == row_lower_bound(schema, constraints, 2, 2) == 4
 
 
 class TestSuggestCredentialSize:

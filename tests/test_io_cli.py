@@ -213,6 +213,23 @@ class TestCliVerify:
         assert code == 3
         assert "hard violation" in out
 
+    def test_trivial_attributes_noted_on_stderr(self, capsys, tmp_path):
+        schema = AttributeSchema(
+            (
+                AttributeDef("a1", ("0", "1")),
+                AttributeDef("a2", ("x",)),
+                AttributeDef("a3", ("y",)),
+            )
+        )
+        (tmp_path / "s.json").write_text(serialize_schema(schema))
+        (tmp_path / "a.csv").write_text("a1,a2,a3\n0,x,y\n1,x,y\n0,x,y\n1,x,y\n")
+        code, out, err = run(
+            capsys, "verify", tmp_path / "s.json", tmp_path / "a.csv", "--t", "1"
+        )
+        assert code == 0
+        assert out.startswith("r = 2 (t = 1)\n")
+        assert err == "note: single-valued (trivial) attributes: a2, a3\n"
+
     def test_json_output(self, capsys):
         code, out, _ = run(
             capsys,
@@ -668,6 +685,28 @@ class TestCliConstraintsDerive:
         assert code == 5
         assert doc["implicit_hard"] == [[["a1", "0"]]]
         assert doc["feasible"] is False
+
+    def test_pair_block_text_names_each_witness(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "constraints-derive",
+            FIXTURES / "binary3_schema.json",
+            FIXTURES / "pair_block_constraints.json",
+            "--t",
+            "2",
+        )
+        reason = (
+            "unconstrained credential is unrealizable: every row containing it "
+            "violates a hard constraint (implied by {(a1, 0)})"
+        )
+        assert code == 5
+        assert out == (
+            "implicit hard constraints:\n"
+            "  {(a1, 0)}\n"
+            "feasible: no\n"
+            f"  {{(a1, 0), (a3, 0)}}: {reason}\n"
+            f"  {{(a1, 0), (a3, 1)}}: {reason}\n"
+        )
 
     def test_promoted_feasible(self, capsys):
         code, out, _ = run(

@@ -18,6 +18,8 @@ from anonarray import (
     InfeasibleError,
     check_feasibility,
     classify,
+    closeness,
+    closeness_matrix,
     compute_guarantee,
     construct_padding,
     deficiency,
@@ -35,6 +37,7 @@ from anonarray.homogeneity import Neighborhood, _edges
 from anonarray.model import _DECODE_TABLE_MAX, _coded_counts
 
 from oracles import (
+    brute_force_closeness_matrix,
     brute_force_closeness_penalty,
     brute_force_counts,
     brute_force_deficiency,
@@ -284,6 +287,31 @@ def test_local_homogeneity_matches_brute_force(case):
         global_score=sum(expected, Fraction(0)) / array.n_rows,
         isolated=frozenset(i for i, x in enumerate(expected) if x == sentinel),
     )
+
+
+@given(
+    st.one_of(arrays(max_n=16, max_k=5), duplicated_arrays()).flatmap(
+        lambda array: st.tuples(
+            st.just(array),
+            st.integers(1, array.k),
+            st.integers(0, array.n_rows - 1),
+            st.integers(0, array.n_rows - 1),
+        )
+    )
+)
+# every row identical; duplicates beside one isolated row; duplicates at
+# t = k, where only identical rows are neighbours
+@example((_binary(*[(0, 1, 1)] * 5), 2, 0, 4))
+@example((_binary(*[(0, 0, 0)] * 3, (1, 1, 1)), 2, 3, 0))
+@example((_binary(*[(0, 1, 0)] * 2, *[(1, 1, 0)] * 3, (0, 0, 1)), 3, 2, 4))
+@settings(max_examples=200, deadline=None)
+def test_closeness_matches_brute_force(case):
+    """The matrix is the oracle's, and closeness(i, j) is its [i][j]."""
+    array, t, i, j = case
+    matrix = closeness_matrix(array, t)
+    assert matrix == brute_force_closeness_matrix(array, t)
+    if i != j:
+        assert closeness(i, j, array, t) == matrix[i][j]
 
 
 @given(arrays(max_n=16, max_k=5))
