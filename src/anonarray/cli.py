@@ -169,6 +169,9 @@ def cmd_homogeneity(args) -> int:
         raise InvalidParameterError("--hypergraph-out needs --hypergraph FORMAT")
     schema, array, _, _ = _load_inputs(args)
     report = hom.local_homogeneity(array, args.t)
+    # rendered a row at a time; int / int rounds as float(Fraction) does
+    rows = hom._closeness_rows(array, args.t, range(array.n_rows))
+    closeness = ([hom.render_score(a / lcm) for a in row] for row, lcm in rows)
     if args.json:
         doc = {
             "format_version": FORMAT_VERSION,
@@ -180,8 +183,7 @@ def cmd_homogeneity(args) -> int:
             "isolated": sorted(report.isolated),
         }
         if args.closeness:
-            matrix = hom.closeness_matrix(array, args.t)
-            doc["closeness"] = [[hom.render_score(x) for x in row] for row in matrix]
+            doc["closeness"] = list(closeness)
         print(json.dumps(doc, indent=2))
     else:
         print(
@@ -193,9 +195,8 @@ def cmd_homogeneity(args) -> int:
             mark = " (isolated)" if i in report.isolated else ""
             print(f"row {i + 1}: {hom.render_score(score)}{mark}")
         if args.closeness:
-            matrix = hom.closeness_matrix(array, args.t)
-            for row in matrix:
-                print(" ".join(hom.render_score(x) for x in row))
+            for row in closeness:
+                print(" ".join(row))
     if args.hypergraph:
         text = hom.export_hypergraph(array, args.t, _HYPERGRAPH_FMT[args.hypergraph])
         if args.hypergraph_out:

@@ -96,28 +96,44 @@ def weight(i: int, j: int, neighborhood: Neighborhood) -> Fraction:
     return Fraction(0)
 
 
+def _closeness_rows(
+    array: AccessProfileArray, t: int, rows: Iterable[int]
+) -> Iterator[Tuple[List[int], int]]:
+    """(numerators, L) of each requested row i: its closeness to row j is
+    numerators[j] / L, where L is the lcm of the sizes m of i's
+    neighborhoods, each adding L // m to each of its members; cell i is 0."""
+    groups: List[List[List[int]]] = [[] for _ in range(array.n_rows)]
+    for _, _, members in _edges(array, t):
+        for j in members:
+            groups[j].append(members)
+    for i in rows:
+        lcm = math.lcm(*map(len, groups[i]))
+        numerators = [0] * array.n_rows
+        for members in groups[i]:
+            share = lcm // len(members)
+            for j in members:
+                numerators[j] += share
+        numerators[i] = 0
+        yield numerators, lcm
+
+
 def closeness(i: int, j: int, array: AccessProfileArray, t: int) -> Fraction:
     """Sum of weights over every appearing size-t credential."""
     if i == j:
         raise InvalidParameterError("self-closeness is undefined")
-    total = Fraction(0)
-    for n in neighborhoods(array, t):
-        total += weight(i, j, n)
-    return total
+    for row in (i, j):
+        if not 0 <= row < array.n_rows:
+            raise InvalidParameterError(f"row index {row} out of range")
+    numerators, lcm = next(_closeness_rows(array, t, [i]))
+    return Fraction(numerators[j], lcm)
 
 
 def closeness_matrix(array: AccessProfileArray, t: int) -> List[List[Fraction]]:
     """Symmetric N x N closeness matrix with a zero diagonal."""
-    n = array.n_rows
-    matrix = [[Fraction(0)] * n for _ in range(n)]
-    for _, _, members in _edges(array, t):
-        w = Fraction(1, len(members))
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                i, j = members[a], members[b]
-                matrix[i][j] += w
-                matrix[j][i] += w
-    return matrix
+    return [
+        [Fraction(a, lcm) for a in numerators]
+        for numerators, lcm in _closeness_rows(array, t, range(array.n_rows))
+    ]
 
 
 def local_homogeneity(array: AccessProfileArray, t: int) -> HomogeneityReport:
@@ -184,7 +200,7 @@ def global_homogeneity(array: AccessProfileArray, t: int) -> Fraction:
     return local_homogeneity(array, t).global_score
 
 
-def render_score(value: Fraction) -> str:
+def render_score(value: Fraction | float) -> str:
     """Decimal rendering at 6 significant digits."""
     return f"{float(value):.6g}"
 

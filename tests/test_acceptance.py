@@ -32,6 +32,7 @@ from anonarray import (
     validate,
 )
 from anonarray.constraints import DONT_CARE
+from anonarray.io import serialize_array, serialize_schema
 from conftest import cred
 from oracles import (
     brute_force_counts,
@@ -456,3 +457,48 @@ def test_criterion_12_construct_over_a_heavy_base():
     peak_mb = maxrss_kb / 1024
     assert peak_mb <= budget_mb, f"peak RSS {peak_mb:.1f} MB over {budget_mb} MB"
     _report(12, started, 5.0, f"{copies} + 30 rows k=8 v=3 t=3, peak RSS {peak_mb:.1f} MB")
+
+
+# Runs the CLI's main on its arguments, with stdout as the caller sets it;
+# prints the process's own peak resident set (KB) to stderr.
+_CLI_WORKER = """
+import resource, sys
+from anonarray.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_criterion_14_closeness_text_streams_rows(tmp_path):
+    # the N x N matrix of Fractions and its rendering held at once peak
+    # near 95 MB; one integer row at a time stays near start-up
+    n, k, v, budget_mb = 1000, 8, 3, 40
+    rnd = random.Random(CORPUS_SEED)
+    schema = AttributeSchema(
+        tuple(AttributeDef(f"a{i + 1}", tuple(map(str, range(v)))) for i in range(k))
+    )
+    rows = tuple(tuple(rnd.randrange(v) for _ in range(k)) for _ in range(n))
+    (tmp_path / "s.json").write_text(serialize_schema(schema))
+    (tmp_path / "a.csv").write_text(serialize_array(AccessProfileArray(schema, rows)))
+    argv = ["homogeneity", tmp_path / "s.json", tmp_path / "a.csv", "--t", "2"]
+    src = Path(__file__).resolve().parent.parent / "src"
+    worker = [sys.executable, "-c", _CLI_WORKER, *map(str, argv), "--closeness"]
+    started = time.monotonic()
+    with open(tmp_path / "out.txt", "w") as out:
+        proc = subprocess.run(
+            [sys.executable, "-c", _LAUNCHER, *worker],
+            stdout=out,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=300,
+        )
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stderr.split()[-1]) / 1024
+    lines = (tmp_path / "out.txt").read_text().splitlines()
+    # the summary, one score line per row, then one closeness row per row
+    assert len(lines) == 1 + 2 * n
+    assert all(len(line.split()) == n for line in lines[1 + n:])
+    assert peak_mb <= budget_mb, f"peak RSS {peak_mb:.1f} MB over {budget_mb} MB"
+    _report(14, started, 5.0, f"N={n} k={k} v={v} t=2, peak RSS {peak_mb:.1f} MB")

@@ -99,6 +99,11 @@ class TestCloseness:
     def test_disjoint_groups(self, two_groups):
         assert closeness(0, 3, two_groups, 2) == 0
 
+    @pytest.mark.parametrize("i,j,bad", [(0, 99, 99), (-1, 0, -1), (8, 1, 8)])
+    def test_row_out_of_range(self, two_groups, i, j, bad):
+        with pytest.raises(InvalidParameterError, match=f"^row index {bad} out of range$"):
+            closeness(i, j, two_groups, 2)
+
     def test_matrix_symmetric_zero_diagonal(self, fractional_replicated):
         m = closeness_matrix(fractional_replicated, 2)
         n = fractional_replicated.n_rows
