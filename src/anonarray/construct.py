@@ -251,15 +251,6 @@ def _holds_any(credentials) -> Callable[[Row], bool]:
     return lambda row: any(proj(row) in values for proj, values in checks)
 
 
-def _below(rng: random.Random, n: int) -> int:
-    """rng.randrange(n) as this Python draws it, even for n = 1."""
-    bits = n.bit_length()
-    x = rng.getrandbits(bits)
-    while x >= n:
-        x = rng.getrandbits(bits)
-    return x
-
-
 def _drawer(sizes, cols: ColumnSet) -> Callable[[random.Random, Row], Row]:
     """(rng, values on cols) -> a row holding them, each other cell drawn in
     column order as rng.randrange(its domain size) would draw it."""
@@ -295,7 +286,7 @@ def _run_attempt(
             # the first 60 draws of a row also avoid the absent soft credentials
             holds_either = _holds_any([*constraints.hard, *state.soft_zero()])
             for _ in range(config.candidates_per_row):
-                cols, values = state.targets[_below(rng, len(state.targets))]
+                cols, values = rng.choice(state.targets)
                 draw = drawer(cols)
                 for tries in range(120):
                     row = draw(rng, values)

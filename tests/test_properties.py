@@ -32,7 +32,7 @@ from anonarray import (
     validate,
 )
 from anonarray.constraints import HARD, UNCONSTRAINED, complete, kinds_on
-from anonarray.construct import _below, _credential_kinds, _drawer, _State
+from anonarray.construct import _credential_kinds, _drawer, _State
 from anonarray.homogeneity import Neighborhood, _edges
 from anonarray.model import _DECODE_TABLE_MAX, _coded_counts
 
@@ -628,12 +628,12 @@ def test_ranking_matches_brute_force_over_a_heavy_base(case, copies, weight):
 @given(st.integers(0, 2**32), st.lists(st.integers(1, 9), min_size=1, max_size=30))
 @settings(max_examples=100, deadline=None)
 def test_draws_follow_randrange(seed, sizes):
-    """Construct's draws are rng.randrange's: the target pick for each n,
-    and the free cells of a row over mixed domain sizes, in column order;
-    the generator ends in the same state."""
+    """Construct's draws are rng.randrange's: the target pick, made by
+    rng.choice, for each n, and the free cells of a row over mixed domain
+    sizes, in column order; the generator ends in the same state."""
     drawn, reference = random.Random(seed), random.Random(seed)
     for n in [*range(1, 10), *sizes, 1000]:
-        assert _below(drawn, n) == reference.randrange(n)
+        assert drawn.choice(range(n)) == reference.randrange(n)
     assert drawn.getstate() == reference.getstate()
     rnd = random.Random(seed)
     cols = tuple(sorted(rnd.sample(range(len(sizes)), rnd.randint(0, len(sizes)))))
