@@ -29,6 +29,7 @@ from .errors import (
     InvalidParameterError,
 )
 from .io import (
+    _credential_doc,
     load_array,
     load_constraints,
     load_schema,
@@ -63,13 +64,6 @@ def _load_inputs(args):
     if getattr(args, "constraints", None):
         constraints, allowed = load_constraints(args.constraints, schema)
     return schema, array, constraints, allowed
-
-
-def _credential_doc(cred, schema):
-    return [
-        [schema.attributes[a].name, schema.attributes[a].values[v]]
-        for a, v in cred.pairs
-    ]
 
 
 def _hard_docs(violations, schema):

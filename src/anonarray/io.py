@@ -171,6 +171,14 @@ def _parse_credential(entry, schema: AttributeSchema, kind: str, filename) -> Cr
         raise ParseError(f"{kind} constraint: {exc}", filename=filename)
 
 
+def _credential_doc(cred: Credential, schema: AttributeSchema) -> list:
+    """[[attribute, value], ...], the list `_parse_credential` reads."""
+    return [
+        [schema.attributes[a].name, schema.attributes[a].values[v]]
+        for a, v in cred.pairs
+    ]
+
+
 def parse_constraints(
     text: str, schema: AttributeSchema, filename=None
 ) -> Tuple[ConstraintSet, Optional[List[ColumnSet]]]:
@@ -208,32 +216,18 @@ def parse_constraints(
                 raise ParseError(f"allowed_column_sets: {exc}", filename=filename)
         allowed = list(sets)
     try:
-        constraints = ConstraintSet(
-            hard=kinds["hard"], soft=kinds["soft"], dont_care=kinds["dont_care"]
-        )
+        constraints = ConstraintSet(**kinds)
     except Exception as exc:
         raise ParseError(str(exc), filename=filename)
     return constraints, allowed
 
 
 def serialize_constraints(constraints: ConstraintSet, schema: AttributeSchema) -> str:
-    def encode(creds):
-        return [
-            [
-                [schema.attributes[a].name, schema.attributes[a].values[v]]
-                for a, v in c.pairs
-            ]
-            for c in sorted(creds)
-        ]
-
-    return json.dumps(
-        {
-            "hard": encode(constraints.hard),
-            "soft": encode(constraints.soft),
-            "dont_care": encode(constraints.dont_care),
-        },
-        indent=2,
-    )
+    doc = {
+        kind: [_credential_doc(c, schema) for c in sorted(getattr(constraints, kind))]
+        for kind in ("hard", "soft", "dont_care")
+    }
+    return json.dumps(doc, indent=2)
 
 
 def _read(path) -> str:
