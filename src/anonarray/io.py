@@ -1,4 +1,5 @@
-"""File formats: schema and constraint JSON documents, CSV array documents.
+"""File formats: schema and constraint JSON documents, CSV array documents,
+and `write_json`, which streams the CLI's machine-readable documents.
 
 Labels live in files; indices live in memory.  Unknown labels are errors,
 never silent extensions, because growing a domain invalidates any
@@ -10,7 +11,8 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
-from typing import Dict, List, Optional, Tuple
+from collections.abc import Iterator
+from typing import Dict, List, Optional, TextIO, Tuple
 
 from .constraints import ConstraintSet
 from .errors import InvalidParameterError, ParseError
@@ -34,6 +36,69 @@ def _load_json(text: str, filename=None) -> dict:
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object", filename=filename)
     return doc
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _dumps(value, indent: str) -> str:
+    """json.dumps(value, indent=2) of a value that starts at `indent`."""
+    if isinstance(value, str):
+        return _quote(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{_quote(key)}: {_dumps(v, inner)}" for key, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple, Iterator)):
+        if isinstance(value, Iterator):
+            value = list(value)
+        kinds = set(map(type, value))
+        if kinds == {str}:
+            items = map(_quote, value)
+        elif kinds == {int}:
+            items = map(str, value)
+        else:
+            items = [_dumps(v, inner) for v in value]
+        brackets = "[]"
+    else:  # numbers, booleans and None, as json.dumps spells them
+        return json.dumps(value)
+    if not value:
+        return brackets
+    body = f",\n{inner}".join(items)
+    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
+
+
+def _write_items(value, indent: str, out: TextIO) -> None:
+    """Write _dumps(value, indent), a list, tuple or iterator an item at a time."""
+    if not isinstance(value, (list, tuple, Iterator)):
+        out.write(_dumps(value, indent))
+        return
+    inner = indent + "  "
+    sep = "[\n" + inner
+    for item in value:
+        out.write(sep + _dumps(item, inner))
+        sep = ",\n" + inner
+    out.write("[]" if sep[0] == "[" else f"\n{indent}]")
+
+
+def write_json(doc, out: TextIO) -> None:
+    """Write `json.dumps(doc, indent=2) + "\\n"` to the text stream `out`.
+
+    Any list in `doc` may be given as a tuple or an iterator, and dict keys
+    must be str.  The lists that are `doc` or its top-level values are
+    written one item at a time, so an iterator there is never held whole;
+    anything deeper is rendered per top-level item.
+    """
+    if isinstance(doc, dict) and doc:
+        sep = "{\n  "
+        for key, value in doc.items():
+            out.write(f"{sep}{_quote(key)}: ")
+            _write_items(value, "  ", out)
+            sep = ",\n  "
+        out.write("\n}\n")
+    else:
+        _write_items(doc, "", out)
+        out.write("\n")
 
 
 def parse_schema(text: str, filename=None) -> AttributeSchema:

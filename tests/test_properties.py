@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import math
@@ -34,6 +35,7 @@ from anonarray import (
 from anonarray.constraints import HARD, UNCONSTRAINED, complete, kinds_on
 from anonarray.construct import _credential_kinds, _drawer, _State
 from anonarray.homogeneity import Neighborhood, _edges
+from anonarray.io import write_json
 from anonarray.model import _DECODE_TABLE_MAX, _coded_counts
 
 from oracles import (
@@ -697,3 +699,51 @@ def test_hypergraph_json_matches_json_dumps(array, data):
         ],
     }
     assert export_hypergraph(array, t, "structured-json") == json.dumps(doc, indent=2)
+
+
+JSON_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001d11e'),
+        st.characters(exclude_categories=()),  # control characters too
+        st.characters(categories=["Cs"]),  # lone surrogates
+    ),
+    max_size=8,
+)
+JSON_INTS = st.integers(-(2**200), 2**200)
+JSON_DOCS = st.recursive(
+    st.one_of(JSON_TEXT, JSON_INTS, st.booleans(), st.none(), st.floats()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        # lists of one kind, which the writer joins (but never booleans)
+        st.lists(JSON_TEXT, max_size=5),
+        st.lists(JSON_INTS, max_size=5),
+        st.lists(st.booleans(), max_size=5),
+        st.dictionaries(JSON_TEXT, children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+def as_given(value, rnd):
+    """`value` with each of its lists given as a list, a tuple or an iterator."""
+    if isinstance(value, dict):
+        return {key: as_given(v, rnd) for key, v in value.items()}
+    if isinstance(value, list):
+        return rnd.choice((list, tuple, iter))([as_given(v, rnd) for v in value])
+    return value
+
+
+@given(
+    st.one_of(JSON_DOCS, st.dictionaries(JSON_TEXT, JSON_DOCS, max_size=6)),
+    st.randoms(use_true_random=False),
+)
+@example({}, random.Random(0))
+@example([], random.Random(0))
+@example({"a": [], "b": {}, "c": [[], {}]}, random.Random(1))
+@example({"rows": [["0.5", "1"], ["1", "0.5"]], "ids": [1, -2]}, random.Random(2))
+@example([[float("nan"), float("inf"), -float("inf"), -0.0, 1e300]], random.Random(3))
+@settings(max_examples=200, deadline=None)
+def test_write_json_matches_json_dumps(doc, rnd):
+    out = io.StringIO()
+    write_json(as_given(doc, rnd), out)
+    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
