@@ -4,11 +4,13 @@ import pytest
 
 import anonarray.constraints as constraints_mod
 from anonarray import (
+    AccessProfileArray,
     AttributeDef,
     AttributeSchema,
     ConstraintSet,
     Credential,
     ParseError,
+    export_hypergraph,
 )
 from anonarray.cli import main
 from anonarray.io import (
@@ -413,6 +415,36 @@ class TestCliHomogeneity:
         assert code == 0
         doc = json.loads(out_file.read_text())
         assert len(doc["edges"]) == 6
+
+    @pytest.mark.parametrize("labelled", [False, True])
+    @pytest.mark.parametrize(
+        "fmt,format", [("json", "structured-json"), ("text", "graph-description-text")]
+    )
+    def test_hypergraph_output_is_the_export(
+        self, capsys, tmp_path, fmt, format, labelled
+    ):
+        schema = load_schema(FIXTURES / "binary3_schema.json")
+        array = load_array(FIXTURES / "two_groups.csv", schema)
+        if labelled:
+            labels = tuple(f'row "{i}" \u00e9' for i in range(array.n_rows))
+            array = AccessProfileArray(schema, array.rows, labels)
+        (tmp_path / "a.csv").write_text(serialize_array(array), encoding="utf-8")
+        expected = export_hypergraph(array, 2, format)
+        argv = (
+            "homogeneity",
+            FIXTURES / "binary3_schema.json",
+            tmp_path / "a.csv",
+            "--t",
+            "2",
+            "--hypergraph",
+            fmt,
+        )
+        code, scores, _ = run(capsys, *argv, "--hypergraph-out", tmp_path / "graph")
+        assert code == 0
+        assert (tmp_path / "graph").read_text(encoding="utf-8") == expected
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == scores + expected + "\n"
 
     def test_hypergraph_out_without_format_is_rejected(self, capsys, tmp_path):
         out_file = tmp_path / "graph.json"
