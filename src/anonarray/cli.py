@@ -12,7 +12,6 @@ is versioned; human output may evolve.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from fractions import Fraction
@@ -34,6 +33,7 @@ from .io import (
     load_constraints,
     load_schema,
     serialize_array,
+    write_json,
 )
 
 FORMAT_VERSION = 1
@@ -113,7 +113,7 @@ def cmd_verify(args) -> int:
                 {"credential": _credential_doc(c, schema), "count": n, "kind": kind}
                 for _, c, n, kind in result.violations
             ]
-        print(json.dumps(doc, indent=2))
+        write_json(doc, sys.stdout)
     else:
         print(f"r = {report.r} (t = {report.t})")
         if report.min_witness is not None:
@@ -149,7 +149,7 @@ def cmd_profile(args) -> int:
             "entries": [{"t": t, "r": r} for t, r in profile.entries],
             "hard_violations": _hard_docs(profile.hard_violations, schema),
         }
-        print(json.dumps(doc, indent=2))
+        write_json(doc, sys.stdout)
     else:
         for t, r in profile.entries:
             print(f"t = {t}: r = {r}")
@@ -163,9 +163,10 @@ def cmd_homogeneity(args) -> int:
         raise InvalidParameterError("--hypergraph-out needs --hypergraph FORMAT")
     schema, array, _, _ = _load_inputs(args)
     report = hom.local_homogeneity(array, args.t)
-    # rendered a row at a time; int / int rounds as float(Fraction) does
-    rows = hom._closeness_rows(array, args.t, range(array.n_rows))
-    closeness = ([hom.render_score(a / lcm) for a in row] for row, lcm in rows)
+    if args.closeness:
+        # rendered a row at a time; int / int rounds as float(Fraction) does
+        rows = hom._closeness_rows(array, args.t, range(array.n_rows))
+        closeness = ([hom.render_score(a / lcm) for a in row] for row, lcm in rows)
     if args.json:
         doc = {
             "format_version": FORMAT_VERSION,
@@ -173,12 +174,12 @@ def cmd_homogeneity(args) -> int:
             "min": hom.render_score(report.min),
             "max": hom.render_score(report.max),
             "global": hom.render_score(report.global_score),
-            "local": [hom.render_score(x) for x in report.local],
+            "local": map(hom.render_score, report.local),
             "isolated": sorted(report.isolated),
         }
         if args.closeness:
-            doc["closeness"] = list(closeness)
-        print(json.dumps(doc, indent=2))
+            doc["closeness"] = closeness
+        write_json(doc, sys.stdout)
     else:
         print(
             f"min {hom.render_score(report.min)} "
@@ -192,12 +193,15 @@ def cmd_homogeneity(args) -> int:
             for row in closeness:
                 print(" ".join(row))
     if args.hypergraph:
-        text = hom.export_hypergraph(array, args.t, _HYPERGRAPH_FMT[args.hypergraph])
+        pieces = hom._hypergraph_pieces(
+            array, args.t, _HYPERGRAPH_FMT[args.hypergraph]
+        )
         if args.hypergraph_out:
             with open(args.hypergraph_out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         else:
-            print(text)
+            sys.stdout.writelines(pieces)
+            print()
     return EXIT_OK
 
 
@@ -236,7 +240,7 @@ def cmd_construct(args) -> int:
     }
     if args.json:
         # stdout carries the CSV unless it went to a file
-        print(json.dumps(summary, indent=2), file=sys.stdout if to_file else sys.stderr)
+        write_json(summary, sys.stdout if to_file else sys.stderr)
     else:
         print(
             f"rows={summary['rows']} padding={summary['padding_count']} "
@@ -259,14 +263,14 @@ def cmd_constraints_derive(args) -> int:
             "t": args.t,
             "implicit_hard": [_credential_doc(c, schema) for c in sorted(derived)],
             "feasible": report.feasible,
-            "witnesses": [
+            "witnesses": (
                 {"credential": _credential_doc(c, schema), "reason": reason}
                 for c, reason in report.witnesses
-            ],
+            ),
         }
         if no_legal_row:
             doc["reason"] = NO_LEGAL_ROW
-        print(json.dumps(doc, indent=2))
+        write_json(doc, sys.stdout)
     else:
         if derived:
             print("implicit hard constraints:")

@@ -331,17 +331,17 @@ def check_feasibility(
                 pairs = sorted(d.pairs + tuple(zip(cols, values)))
                 causes.setdefault(tuple(zip(*pairs)), d)
     kinds = {cs: kinds_on(schema, constraints, cs) for cs in {cs for cs, _ in causes}}
-    witnesses: List[Tuple[Credential, str]] = []
-    for cols, values in sorted(causes):
-        if values not in kinds[cols]:
-            witnesses.append(
-                (
-                    Credential(tuple(zip(cols, values))),
-                    "unconstrained credential is unrealizable: every row "
-                    f"containing it violates a hard constraint "
-                    f"(implied by {causes[cols, values].render(schema)})",
-                )
-            )
+    # one reason string per cause, shared by all its witnesses
+    reasons = {
+        d: "unconstrained credential is unrealizable: every row containing it "
+        f"violates a hard constraint (implied by {d.render(schema)})"
+        for d in derived
+    }
+    witnesses: List[Tuple[Credential, str]] = [
+        (Credential(tuple(zip(cols, values))), reasons[causes[cols, values]])
+        for cols, values in sorted(causes)
+        if values not in kinds[cols]
+    ]
     return FeasibilityReport(
         feasible=not witnesses,
         implicit_hard=frozenset(derived),

@@ -101,20 +101,25 @@ def _closeness_rows(
 ) -> Iterator[Tuple[List[int], int]]:
     """(numerators, L) of each requested row i: its closeness to row j is
     numerators[j] / L, where L is the lcm of the sizes m of i's
-    neighborhoods, each adding L // m to each of its members; cell i is 0."""
+    neighborhoods, each adding L // m to each of its members; cell i is 0.
+    The neighborhoods are listed on the call, the rows as they are drawn."""
     groups: List[List[List[int]]] = [[] for _ in range(array.n_rows)]
     for _, _, members in _edges(array, t):
         for j in members:
             groups[j].append(members)
-    for i in rows:
-        lcm = math.lcm(*map(len, groups[i]))
-        numerators = [0] * array.n_rows
-        for members in groups[i]:
-            share = lcm // len(members)
-            for j in members:
-                numerators[j] += share
-        numerators[i] = 0
-        yield numerators, lcm
+
+    def kernel():
+        for i in rows:
+            lcm = math.lcm(*map(len, groups[i]))
+            numerators = [0] * array.n_rows
+            for members in groups[i]:
+                share = lcm // len(members)
+                for j in members:
+                    numerators[j] += share
+            numerators[i] = 0
+            yield numerators, lcm
+
+    return kernel()
 
 
 def closeness(i: int, j: int, array: AccessProfileArray, t: int) -> Fraction:
@@ -211,13 +216,11 @@ def _vertex_label(array: AccessProfileArray, i: int) -> str:
     return str(i + 1)
 
 
-def export_hypergraph(array: AccessProfileArray, t: int, format: str) -> str:
-    """Serialize the multi-hypergraph: row vertices, one edge per
-    neighborhood labeled with its column set and credential values."""
-    if format not in HYPERGRAPH_FORMATS:
-        raise InvalidParameterError(
-            f"unknown hypergraph format {format!r}; expected one of {HYPERGRAPH_FORMATS}"
-        )
+def _hypergraph_pieces(
+    array: AccessProfileArray, t: int, format: str
+) -> Iterator[str]:
+    """`export_hypergraph`'s text in pieces: the vertex block, then one piece
+    per edge (and the closing brackets of the JSON)."""
     names = [a.name for a in array.schema.attributes]
     labels = [a.values for a in array.schema.attributes]
     edges = (
@@ -229,33 +232,46 @@ def export_hypergraph(array: AccessProfileArray, t: int, format: str) -> str:
         )
         for e, (cols, values, members) in enumerate(_edges(array, t))
     )
-    if format == "structured-json":
-        # the text json.dumps(doc, indent=2) gives, without its pure-Python
-        # indenting encoder: one join per list
-        quote = json.encoder.encode_basestring_ascii
+    if format == "graph-description-text":
+        yield f"vertices: {array.n_rows}\n"
+        for e, columns, values, members in edges:
+            yield (
+                f"edge {e}: {{{','.join(map(str, members))}}} "
+                f"columns={','.join(columns)} values={','.join(values)}\n"
+            )
+        return
+    # the text json.dumps(doc, indent=2) gives, without its pure-Python
+    # indenting encoder: one join per list
+    quote = json.encoder.encode_basestring_ascii
 
-        def listed(items: Iterable[str]) -> str:
-            return "[\n        " + ",\n        ".join(items) + "\n      ]"
+    def listed(items: Iterable[str]) -> str:
+        return "[\n        " + ",\n        ".join(items) + "\n      ]"
 
-        vertices = (
-            f'{{\n      "id": {i},\n      "label": {quote(_vertex_label(array, i))}'
-            "\n    }"
-            for i in range(array.n_rows)
-        )
-        edge_docs = (
-            f'{{\n      "id": {e},\n      "columns": {listed(map(quote, columns))},'
+    vertices = (
+        f'{{\n      "id": {i},\n      "label": {quote(_vertex_label(array, i))}'
+        "\n    }"
+        for i in range(array.n_rows)
+    )
+    yield (
+        '{\n  "vertices": [\n    ' + ",\n    ".join(vertices) + '\n  ],\n  "edges": ['
+    )
+    sep = "\n    "
+    for e, columns, values, members in edges:
+        yield (
+            f'{sep}{{\n      "id": {e},'
+            f'\n      "columns": {listed(map(quote, columns))},'
             f'\n      "values": {listed(map(quote, values))},'
             f'\n      "members": {listed(map(str, members))}\n    }}'
-            for e, columns, values, members in edges
         )
-        return (
-            '{\n  "vertices": [\n    ' + ",\n    ".join(vertices)
-            + '\n  ],\n  "edges": [\n    ' + ",\n    ".join(edge_docs) + "\n  ]\n}"
+        sep = ",\n    "
+    yield "\n  ]\n}"
+
+
+def export_hypergraph(array: AccessProfileArray, t: int, format: str) -> str:
+    """Serialize the multi-hypergraph: row vertices, one edge per
+    neighborhood labeled with its column set and credential values."""
+    if format not in HYPERGRAPH_FORMATS:
+        raise InvalidParameterError(
+            f"unknown hypergraph format {format!r}; expected one of {HYPERGRAPH_FORMATS}"
         )
-    lines = [f"vertices: {array.n_rows}"]
-    for e, columns, values, members in edges:
-        lines.append(
-            f"edge {e}: {{{','.join(map(str, members))}}} "
-            f"columns={','.join(columns)} values={','.join(values)}"
-        )
-    return "\n".join(lines) + "\n"
+    return "".join(_hypergraph_pieces(array, t, format))
