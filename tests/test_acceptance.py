@@ -3,6 +3,7 @@ pass/fail line.  Run with `pytest tests/test_acceptance.py -s`.
 """
 
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -470,10 +471,10 @@ sys.exit(code)
 """
 
 
-def test_criterion_14_closeness_text_streams_rows(tmp_path):
-    # the N x N matrix of Fractions and its rendering held at once peak
-    # near 95 MB; one integer row at a time stays near start-up
-    n, k, v, budget_mb = 1000, 8, 3, 40
+def _closeness_in_worker(tmp_path, *flags):
+    """(stdout, peak RSS in MB) of `homogeneity --closeness` in a worker at
+    N=1000, k=8, v=3, t=2 on seeded uniform rows."""
+    n, k, v = 1000, 8, 3
     rnd = random.Random(CORPUS_SEED)
     schema = AttributeSchema(
         tuple(AttributeDef(f"a{i + 1}", tuple(map(str, range(v)))) for i in range(k))
@@ -483,8 +484,7 @@ def test_criterion_14_closeness_text_streams_rows(tmp_path):
     (tmp_path / "a.csv").write_text(serialize_array(AccessProfileArray(schema, rows)))
     argv = ["homogeneity", tmp_path / "s.json", tmp_path / "a.csv", "--t", "2"]
     src = Path(__file__).resolve().parent.parent / "src"
-    worker = [sys.executable, "-c", _CLI_WORKER, *map(str, argv), "--closeness"]
-    started = time.monotonic()
+    worker = [sys.executable, "-c", _CLI_WORKER, *map(str, argv), "--closeness", *flags]
     with open(tmp_path / "out.txt", "w") as out:
         proc = subprocess.run(
             [sys.executable, "-c", _LAUNCHER, *worker],
@@ -495,10 +495,31 @@ def test_criterion_14_closeness_text_streams_rows(tmp_path):
             timeout=300,
         )
     assert proc.returncode == 0, proc.stderr
-    peak_mb = int(proc.stderr.split()[-1]) / 1024
-    lines = (tmp_path / "out.txt").read_text().splitlines()
+    return (tmp_path / "out.txt").read_text(), int(proc.stderr.split()[-1]) / 1024
+
+
+def test_criterion_14_closeness_text_streams_rows(tmp_path):
+    # the N x N matrix of Fractions and its rendering held at once peak
+    # near 95 MB; one integer row at a time stays near start-up
+    n, budget_mb = 1000, 40
+    started = time.monotonic()
+    out, peak_mb = _closeness_in_worker(tmp_path)
+    lines = out.splitlines()
     # the summary, one score line per row, then one closeness row per row
     assert len(lines) == 1 + 2 * n
     assert all(len(line.split()) == n for line in lines[1 + n:])
     assert peak_mb <= budget_mb, f"peak RSS {peak_mb:.1f} MB over {budget_mb} MB"
-    _report(14, started, 5.0, f"N={n} k={k} v={v} t=2, peak RSS {peak_mb:.1f} MB")
+    _report(14, started, 5.0, f"N={n} k=8 v=3 t=2, peak RSS {peak_mb:.1f} MB")
+
+
+def test_criterion_15_closeness_json_streams_rows(tmp_path):
+    # the rendered matrix and the document json.dumps builds from it held
+    # at once peak near 172 MB; written a row at a time, near start-up
+    n, budget_mb = 1000, 40
+    started = time.monotonic()
+    out, peak_mb = _closeness_in_worker(tmp_path, "--json")
+    closeness = json.loads(out)["closeness"]
+    assert len(closeness) == n
+    assert all(len(row) == n for row in closeness)
+    assert peak_mb <= budget_mb, f"peak RSS {peak_mb:.1f} MB over {budget_mb} MB"
+    _report(15, started, 5.0, f"N={n} k=8 v=3 t=2, peak RSS {peak_mb:.1f} MB")
