@@ -318,8 +318,11 @@ def _decoder(array: AccessProfileArray, width: int) -> _Decoder:
     if digits == width:
         return partial(map, table)
     lead, base = _decoder(array, width - digits), radix**digits
+    # lead reads its codes twice when it is chunked too, so they are a list
     return lambda codes: map(
-        add, lead(map(base.__rfloordiv__, codes)), map(table, map(base.__rmod__, codes))
+        add,
+        lead(list(map(base.__rfloordiv__, codes))),
+        map(table, map(base.__rmod__, codes)),
     )
 
 

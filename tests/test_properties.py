@@ -4,7 +4,9 @@ import json
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +34,7 @@ from anonarray import (
     row_lower_bound,
     validate,
 )
+from anonarray import model
 from anonarray.constraints import HARD, UNCONSTRAINED, complete, kinds_on
 from anonarray.construct import _credential_kinds, _drawer, _State
 from anonarray.homogeneity import Neighborhood, _edges
@@ -162,17 +165,76 @@ def _wide_run():
     return AccessProfileArray(schema, rows), sets
 
 
-@given(column_set_runs())
-@example(_wide_run())
-@settings(max_examples=200, deadline=None)
-def test_coded_counts_match_projection(case):
-    array, sets = case
-    got = list(_coded_counts(array, sets))
-    assert [cols for cols, _ in got] == sets
+def _counts_on_path(array, sets, path):
+    """`_coded_counts` over `sets`, each checked against the brute force
+    with its keys in value-tuple order.  `path` "rule" leaves the choice
+    to `model._use_bits`; "codes" and "bits" force that path on every set."""
+    if path == "rule":
+        got = list(_coded_counts(array, sets))
+    else:
+        forced = lambda array, cols: path == "bits"  # noqa: E731
+        with mock.patch.object(model, "_use_bits", forced, create=True):
+            got = list(_coded_counts(array, sets))
+    assert [cols for cols, _ in got] == list(sets)
     for cols, counts in got:
         expected = brute_force_counts(array, cols)
         assert counts == expected
         assert list(counts) == sorted(expected)
+
+
+_PATHS = pytest.mark.parametrize("path", ["rule", "codes", "bits"])
+
+
+@_PATHS
+@given(column_set_runs())
+@example(_wide_run())
+@settings(max_examples=200, deadline=None)
+def test_coded_counts_match_projection(path, case):
+    array, sets = case
+    _counts_on_path(array, sets, path)
+
+
+def _array_of(sizes, rows):
+    schema = AttributeSchema(
+        tuple(
+            AttributeDef(f"a{i + 1}", tuple(str(x) for x in range(v)))
+            for i, v in enumerate(sizes)
+        )
+    )
+    return AccessProfileArray(schema, rows)
+
+
+@st.composite
+def count_edge_arrays(draw):
+    """Domains of 1 to 4 values or of 256, the most a column may hold on
+    the bit path; N from 1; and sometimes one row repeated N times."""
+    k = draw(st.integers(1, 5))
+    sizes = draw(st.lists(st.sampled_from((1, 2, 3, 4, 256)), min_size=k, max_size=k))
+    n = draw(st.integers(1, 24))
+
+    def row():
+        return tuple(draw(st.integers(0, v - 1)) for v in sizes)
+
+    rows = (row(),) * n if draw(st.booleans()) else tuple(row() for _ in range(n))
+    return _array_of(sizes, rows)
+
+
+@_PATHS
+@given(count_edge_arrays())
+@example(_array_of((1, 256, 2), [(0, 255, 1)]))
+@example(_array_of((256, 256, 3), [(255, 0, 2)] * 9))
+@example(_array_of((1, 1, 1, 1), [(0, 0, 0, 0)] * 5))
+@example(_array_of((256, 2), [(v, v % 2) for v in range(256)] * 2))
+@settings(max_examples=150, deadline=None)
+def test_counts_at_every_t_match_brute_force(path, array):
+    """Every column set at every t = 1..k, in one call, so the prefixes
+    kept between sets change length as well as columns."""
+    sets = [
+        cols
+        for t in range(1, array.k + 1)
+        for cols in itertools.combinations(range(array.k), t)
+    ]
+    _counts_on_path(array, sets, path)
 
 
 @given(column_set_runs())

@@ -2,6 +2,8 @@ import pytest
 
 from anonarray import (
     AccessProfileArray,
+    AttributeDef,
+    AttributeSchema,
     ConstraintSet,
     Credential,
     InvalidParameterError,
@@ -61,6 +63,16 @@ class TestComputeGuarantee:
         report = compute_guarantee(bad, 2, halfspace_constraints)
         assert report.r == 0
         assert (0, Credential(((0, 0), (1, 0)))) in report.hard_violations
+
+    def test_wide_domains_at_t3(self):
+        # 100 values per attribute: the codes of three columns are decoded
+        # one digit at a time, past the decode table
+        labels = tuple(map(str, range(100)))
+        schema = AttributeSchema(AttributeDef(f"a{i}", labels) for i in range(3))
+        array = AccessProfileArray(schema, [(1, 2, 3)] * 3 + [(40, 50, 99)])
+        report = compute_guarantee(array, 3, ConstraintSet())
+        assert report.r == 1
+        assert report.min_witness == ((0, 1, 2), Credential(((0, 40), (1, 50), (2, 99))), 1)
 
     def test_soft_appearances_listed(
         self, array_b, university_constraints, university_schema
