@@ -6,12 +6,18 @@ here is a pure function, and every type is immutable except
 `CredentialCountTable`: its `counts` is a plain dict, so it is mutable
 and unhashable.
 
-`_codes` is the one coded representation of credentials: each row's
-value tuple on a column set as one integer, read by column.
-`_coded_counts` counts and decodes those codes for `count_credentials`,
-`verify` and `construct`'s base; `homogeneity` groups rows by them and
-has `_decoder` decode only the distinct codes it lists.  `_projector`
-projects one row, for `construct`'s per-row counts and constraint checks.
+Credentials are counted on two paths, both read by column.  `_codes`
+codes each row's value tuple on a column set as one integer;
+`homogeneity` groups rows by these codes and has `_decoder` decode only
+the distinct ones it lists.  `_value_masks` holds, per column and value,
+the rows holding it as the bits of one integer.  `_coded_counts` counts
+for `count_credentials`, `verify` and `construct`: a dense column set,
+with N at least 4 times the value tuples its domains allow and at most
+256 tuples on all but its last column, by ANDing masks and counting bits
+(`_tally_bits`, never touching a row); any other set, or any set of an
+array with a domain over 256 values, by counting codes (`_tally_codes`).
+`_projector` projects one row, for `construct`'s per-row counts and
+constraint checks.
 """
 
 from __future__ import annotations
@@ -268,6 +274,21 @@ class AccessProfileArray(_Frozen):
         """The cells by column: one tuple of value indices per attribute."""
         return tuple(zip(*self.rows))
 
+    @cached_property
+    def _value_masks(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        """Per column, (value, mask) for each value that appears, ascending;
+        bit i of the mask is set when row i holds the value.  Built in C from
+        one byte per cell, so every domain must have at most 256 values."""
+        out = []
+        for column, size in zip(self.columns, self.schema.sizes):
+            cells = bytes(column)[::-1]  # row 0 is the last digit, bit 0
+            masks = (
+                int(cells.translate(b"0" * v + b"1" + b"0" * (255 - v)), 2)
+                for v in range(size)
+            )
+            out.append(tuple((v, m) for v, m in enumerate(masks) if m))
+        return tuple(out)
+
     def row_multiset(self) -> Counter:
         return Counter(self.rows)
 
@@ -356,11 +377,11 @@ def _codes(
         yield cols, map(add, levels[-1], last) if levels else last
 
 
-def _coded_counts(
+def _tally_codes(
     array: AccessProfileArray, column_sets: Iterable[ColumnSet]
 ) -> Iterator[Tuple[ColumnSet, Dict[Row, int]]]:
-    """(cols, {value tuple: count}) for each column set, in the given order,
-    each dict sorted by value tuple; only the distinct codes are decoded."""
+    """`_coded_counts` by counting each row's code; only the distinct codes
+    are decoded."""
     decoders: Dict[int, _Decoder] = {}
     for cols, codes in _codes(array, column_sets):
         counts = Counter(codes)
@@ -368,6 +389,68 @@ def _coded_counts(
             decoders[len(cols)] = _decoder(array, len(cols))
         order = sorted(counts)
         yield cols, dict(zip(decoders[len(cols)](order), map(counts.__getitem__, order)))
+
+
+def _tally_bits(
+    array: AccessProfileArray, column_sets: Iterable[ColumnSet]
+) -> Iterator[Tuple[ColumnSet, Dict[Row, int]]]:
+    """`_coded_counts` by ANDing `_value_masks`, without touching rows.
+
+    The (value prefix, rows mask) pairs of each leading run of columns
+    with a row in common are kept while consecutive column sets share that
+    run, as `_codes` keeps its codes; the last column's counts are the
+    popcounts of each prefix mask AND each value mask.  Prefixes and
+    values ascend, so each dict comes out sorted by value tuple.
+    """
+    masks = array._value_masks
+    head: ColumnSet = ()
+    # levels[d]: the pairs of the current head's first d + 1 columns;
+    # -1 has every bit set, so the empty prefix holds every row
+    levels: List[List[Tuple[Row, int]]] = [[((), -1)]]
+    for cols in column_sets:
+        keep = 0
+        while keep < min(len(head), len(cols) - 1) and head[keep] == cols[keep]:
+            keep += 1
+        del levels[keep + 1:]
+        head = cols[:-1]
+        for c in head[keep:]:
+            levels.append([
+                (prefix + (v,), both)
+                for prefix, rows in levels[-1]
+                for v, m in masks[c]
+                if (both := rows & m)
+            ])
+        last = masks[cols[-1]]
+        yield cols, {
+            prefix + (v,): n
+            for prefix, rows in levels[-1]
+            for v, m in last
+            if (n := (rows & m).bit_count())
+        }
+
+
+def _use_bits(array: AccessProfileArray, cols: ColumnSet) -> bool:
+    """Whether `_tally_bits` counts `cols`: measured faster than counting
+    codes when N is at least 4 times the value tuples their domains allow,
+    and no larger when all but the last column allow at most 256, so the
+    longest prefixes' masks take at most 32·N bytes."""
+    sizes = array.schema.sizes
+    if max(sizes) > 256:
+        return False
+    heads = 1
+    for c in cols[:-1]:
+        heads *= sizes[c]
+    return heads <= 256 and 4 * heads * sizes[cols[-1]] <= array.n_rows
+
+
+def _coded_counts(
+    array: AccessProfileArray, column_sets: Iterable[ColumnSet]
+) -> Iterator[Tuple[ColumnSet, Dict[Row, int]]]:
+    """(cols, {value tuple: count}) for each column set, in the given order,
+    each dict sorted by value tuple; each run of consecutive sets goes to
+    the path `_use_bits` picks for them."""
+    for bits, run in itertools.groupby(column_sets, partial(_use_bits, array)):
+        yield from (_tally_bits if bits else _tally_codes)(array, run)
 
 
 def count_credentials(array: AccessProfileArray, column_set: Iterable[int]) -> CredentialCountTable:

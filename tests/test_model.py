@@ -12,6 +12,7 @@ from anonarray import (
     credential_of_row,
     enumerate_column_sets,
 )
+from anonarray.model import _use_bits
 
 
 def binomial_recursive(n, k):
@@ -150,6 +151,50 @@ class TestCounting:
     def test_empty_column_set(self, array_a):
         with pytest.raises(InvalidParameterError):
             count_credentials(array_a, ())
+
+
+def _uniform(n, sizes):
+    schema = AttributeSchema(
+        AttributeDef(f"a{i}", tuple(map(str, range(v)))) for i, v in enumerate(sizes)
+    )
+    return AccessProfileArray(schema, [tuple(i % v for v in sizes) for i in range(n)])
+
+
+class TestCountingPath:
+    def test_bits_on_an_audit_like_shape(self):
+        # the shape of the audit benchmark: 4000 rows, domains of 2 to 5
+        array = _uniform(4000, (2, 3, 4, 5, 2, 3, 4, 5, 3, 4))
+        assert all(_use_bits(array, cols) for cols in enumerate_column_sets(10, 3))
+        count_credentials(array, (0, 1, 2))
+        assert "_value_masks" in vars(array)  # built by counting, then cached
+
+    def test_codes_on_a_sparse_shape(self):
+        array = _uniform(200, (10,) * 20)
+        assert not any(_use_bits(array, cols) for cols in enumerate_column_sets(20, 3))
+        count_credentials(array, (0, 1, 2))
+        assert "_value_masks" not in vars(array)
+
+    def test_bits_from_four_rows_per_value_tuple(self):
+        # 2 * 3 * 4 = 24 value tuples: bits from N = 96 on
+        assert _use_bits(_uniform(96, (2, 3, 4)), (0, 1, 2))
+        assert not _use_bits(_uniform(95, (2, 3, 4)), (0, 1, 2))
+
+    def test_codes_past_256_prefixes(self):
+        # the prefix (0, 1) has 16 * 17 = 272 values; N is past 4 * 272 * 2
+        array = _uniform(3000, (16, 17, 2))
+        assert _use_bits(array, (0, 2))
+        assert not _use_bits(array, (0, 1, 2))
+
+    def test_codes_when_a_domain_exceeds_a_byte(self):
+        # a 257-value column anywhere rules out the byte-built masks
+        assert _use_bits(_uniform(8, (2, 256)), (0,))
+        assert not _use_bits(_uniform(8, (2, 257)), (0,))
+
+    def test_value_masks_hold_row_i_at_bit_i(self):
+        array = AccessProfileArray(
+            AttributeSchema([AttributeDef("a", ("x", "y", "z"))]), [(2,), (0,), (0,)]
+        )
+        assert array._value_masks == (((0, 0b110), (2, 0b001)),)
 
 
 class TestCredentialOfRow:

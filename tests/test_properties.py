@@ -173,7 +173,7 @@ def _counts_on_path(array, sets, path):
         got = list(_coded_counts(array, sets))
     else:
         forced = lambda array, cols: path == "bits"  # noqa: E731
-        with mock.patch.object(model, "_use_bits", forced, create=True):
+        with mock.patch.object(model, "_use_bits", forced):
             got = list(_coded_counts(array, sets))
     assert [cols for cols, _ in got] == list(sets)
     for cols, counts in got:
