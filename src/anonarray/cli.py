@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from . import construct as construct_mod
@@ -167,41 +168,44 @@ def cmd_homogeneity(args) -> int:
         # rendered a row at a time; int / int rounds as float(Fraction) does
         rows = hom._closeness_rows(array, args.t, range(array.n_rows))
         closeness = ([hom.render_score(a / lcm) for a in row] for row, lcm in rows)
-    if args.json:
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "t": report.t,
-            "min": hom.render_score(report.min),
-            "max": hom.render_score(report.max),
-            "global": hom.render_score(report.global_score),
-            "local": map(hom.render_score, report.local),
-            "isolated": sorted(report.isolated),
-        }
-        if args.closeness:
-            doc["closeness"] = closeness
-        write_json(doc, sys.stdout)
-    else:
-        print(
-            f"min {hom.render_score(report.min)} "
-            f"max {hom.render_score(report.max)} "
-            f"global {hom.render_score(report.global_score)}"
-        )
-        for i, score in enumerate(report.local):
-            mark = " (isolated)" if i in report.isolated else ""
-            print(f"row {i + 1}: {hom.render_score(score)}{mark}")
-        if args.closeness:
-            for row in closeness:
-                print(" ".join(row))
-    if args.hypergraph:
-        pieces = hom._hypergraph_pieces(
-            array, args.t, _HYPERGRAPH_FMT[args.hypergraph]
-        )
-        if args.hypergraph_out:
-            with open(args.hypergraph_out, "w", encoding="utf-8") as fh:
-                fh.writelines(pieces)
+    to_file = args.hypergraph_out and args.hypergraph_out != "-"
+    # opened before anything is written, so a bad path prints nothing
+    graph = open(args.hypergraph_out, "w", encoding="utf-8") if to_file else nullcontext()
+    with graph:
+        if args.json:
+            doc = {
+                "format_version": FORMAT_VERSION,
+                "t": report.t,
+                "min": hom.render_score(report.min),
+                "max": hom.render_score(report.max),
+                "global": hom.render_score(report.global_score),
+                "local": map(hom.render_score, report.local),
+                "isolated": sorted(report.isolated),
+            }
+            if args.closeness:
+                doc["closeness"] = closeness
+            write_json(doc, sys.stdout)
         else:
-            sys.stdout.writelines(pieces)
-            print()
+            print(
+                f"min {hom.render_score(report.min)} "
+                f"max {hom.render_score(report.max)} "
+                f"global {hom.render_score(report.global_score)}"
+            )
+            for i, score in enumerate(report.local):
+                mark = " (isolated)" if i in report.isolated else ""
+                print(f"row {i + 1}: {hom.render_score(score)}{mark}")
+            if args.closeness:
+                for row in closeness:
+                    print(" ".join(row))
+        if args.hypergraph:
+            pieces = hom._hypergraph_pieces(
+                array, args.t, _HYPERGRAPH_FMT[args.hypergraph]
+            )
+            if to_file:
+                graph.writelines(pieces)
+            else:
+                sys.stdout.writelines(pieces)
+                print()
     return EXIT_OK
 
 
@@ -321,7 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--hypergraph", choices=sorted(_HYPERGRAPH_FMT), help="export the hypergraph"
     )
-    p.add_argument("--hypergraph-out", help="write the export to this file")
+    p.add_argument(
+        "--hypergraph-out", help="write the export to this file (- = stdout)"
+    )
 
     p = command(
         "construct", cmd_construct, "append padding rows to reach a target",

@@ -421,7 +421,7 @@ class TestCliHomogeneity:
         "fmt,format", [("json", "structured-json"), ("text", "graph-description-text")]
     )
     def test_hypergraph_output_is_the_export(
-        self, capsys, tmp_path, fmt, format, labelled
+        self, capsys, tmp_path, monkeypatch, fmt, format, labelled
     ):
         schema = load_schema(FIXTURES / "binary3_schema.json")
         array = load_array(FIXTURES / "two_groups.csv", schema)
@@ -445,6 +445,32 @@ class TestCliHomogeneity:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out == scores + expected + "\n"
+        # "-" means stdout, as it does for construct -o
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, *argv, "--hypergraph-out", "-") == (0, out, "")
+        assert not (tmp_path / "-").exists()
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_hypergraph_out_to_a_missing_directory_prints_nothing(
+        self, capsys, tmp_path, json_flag
+    ):
+        out_file = tmp_path / "missing" / "graph.json"
+        code, out, err = run(
+            capsys,
+            "homogeneity",
+            FIXTURES / "binary3_schema.json",
+            FIXTURES / "two_groups.csv",
+            "--t",
+            "2",
+            *json_flag,
+            "--hypergraph",
+            "json",
+            "--hypergraph-out",
+            out_file,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "graph.json" in err
 
     def test_hypergraph_out_without_format_is_rejected(self, capsys, tmp_path):
         out_file = tmp_path / "graph.json"
