@@ -11,6 +11,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -32,6 +33,7 @@ from anonarray import (
     row_lower_bound,
     validate,
 )
+from anonarray import model
 from anonarray.constraints import DONT_CARE
 from anonarray.io import serialize_array, serialize_schema
 from conftest import cred
@@ -471,20 +473,23 @@ sys.exit(code)
 """
 
 
-def _closeness_in_worker(tmp_path, *flags):
-    """(stdout, peak RSS in MB) of `homogeneity --closeness` in a worker at
-    N=1000, k=8, v=3, t=2 on seeded uniform rows."""
-    n, k, v = 1000, 8, 3
-    rnd = random.Random(CORPUS_SEED)
+def _uniform_array(seed, n, k, v):
+    rnd = random.Random(seed)
     schema = AttributeSchema(
         tuple(AttributeDef(f"a{i + 1}", tuple(map(str, range(v)))) for i in range(k))
     )
     rows = tuple(tuple(rnd.randrange(v) for _ in range(k)) for _ in range(n))
-    (tmp_path / "s.json").write_text(serialize_schema(schema))
-    (tmp_path / "a.csv").write_text(serialize_array(AccessProfileArray(schema, rows)))
-    argv = ["homogeneity", tmp_path / "s.json", tmp_path / "a.csv", "--t", "2"]
+    return AccessProfileArray(schema, rows)
+
+
+def _cli_in_worker(tmp_path, array, command, *flags):
+    """(stdout, peak RSS in MB) of `anonarray COMMAND SCHEMA ARRAY FLAGS`,
+    run in a worker on `array` written to files; the command must exit 0."""
+    (tmp_path / "s.json").write_text(serialize_schema(array.schema))
+    (tmp_path / "a.csv").write_text(serialize_array(array))
+    argv = [command, tmp_path / "s.json", tmp_path / "a.csv", *flags]
     src = Path(__file__).resolve().parent.parent / "src"
-    worker = [sys.executable, "-c", _CLI_WORKER, *map(str, argv), "--closeness", *flags]
+    worker = [sys.executable, "-c", _CLI_WORKER, *map(str, argv)]
     with open(tmp_path / "out.txt", "w") as out:
         proc = subprocess.run(
             [sys.executable, "-c", _LAUNCHER, *worker],
@@ -496,6 +501,13 @@ def _closeness_in_worker(tmp_path, *flags):
         )
     assert proc.returncode == 0, proc.stderr
     return (tmp_path / "out.txt").read_text(), int(proc.stderr.split()[-1]) / 1024
+
+
+def _closeness_in_worker(tmp_path, *flags):
+    """(stdout, peak RSS in MB) of `homogeneity --closeness` in a worker at
+    N=1000, k=8, v=3, t=2 on seeded uniform rows."""
+    array = _uniform_array(CORPUS_SEED, 1000, 8, 3)
+    return _cli_in_worker(tmp_path, array, "homogeneity", "--t", "2", "--closeness", *flags)
 
 
 def test_criterion_14_closeness_text_streams_rows(tmp_path):
@@ -523,3 +535,24 @@ def test_criterion_15_closeness_json_streams_rows(tmp_path):
     assert all(len(row) == n for row in closeness)
     assert peak_mb <= budget_mb, f"peak RSS {peak_mb:.1f} MB over {budget_mb} MB"
     _report(15, started, 5.0, f"N={n} k=8 v=3 t=2, peak RSS {peak_mb:.1f} MB")
+
+
+def test_criterion_16_verify_at_the_stated_limit(tmp_path):
+    # W1: N=20000, k=10, v=3, t=3 has 27 value tuples per column set, so
+    # every set is counted by ANDing row masks; counting each row's code
+    # took about 0.2 s.  The worker peaks near 21.5 MB either way, most of
+    # it start-up and the parsed CSV
+    n, budget_mb = 20000, 30
+    array = _uniform_array(CORPUS_SEED + 16, n, 10, 3)
+    started = time.monotonic()
+    result = validate(array, 2, 3, ConstraintSet())
+    _report(16, started, 0.1, f"N={n} k=10 v=3 t=3, r={result.report.r}")
+    with mock.patch.object(model, "_use_bits", lambda array, cols: False):
+        coded = validate(AccessProfileArray(array.schema, array.rows), 2, 3, ConstraintSet())
+    assert result.ok and result.report.r == coded.report.r
+    assert result.report.min_witness == coded.report.min_witness
+    out, peak_mb = _cli_in_worker(tmp_path, array, "verify", "--t", "3", "--r", "2", "--json")
+    doc = json.loads(out)
+    assert (doc["r"], doc["valid"]) == (result.report.r, True)
+    assert peak_mb <= budget_mb, f"peak RSS {peak_mb:.1f} MB over {budget_mb} MB"
+    print(f"     verify --json in a worker: peak RSS {peak_mb:.1f} MB")
