@@ -9,15 +9,14 @@ and unhashable.
 Credentials are counted on two paths, both read by column.  `_codes`
 codes each row's value tuple on a column set as one integer;
 `homogeneity` groups rows by these codes and has `_decoder` decode only
-the distinct ones it lists.  `_value_masks` holds, per column and value,
+the distinct ones it lists.  `_column_masks` holds, per column and value,
 the rows holding it as the bits of one integer.  `_coded_counts` counts
-for `count_credentials`, `verify` and `construct`: a dense column set,
-with N at least 4 times the value tuples its domains allow and at most
-256 tuples on all but its last column, by ANDing masks and counting bits
-(`_tally_bits`, never touching a row); any other set, or any set of an
-array with a domain over 256 values, by counting codes (`_tally_codes`).
-`_projector` projects one row, for `construct`'s per-row counts and
-constraint checks.
+for `count_credentials`, `verify` and `construct`.  A dense column set,
+of two or more columns whose domains allow at most 256 value tuples and
+N at least 4 times that many, it counts by ANDing masks and counting
+bits (`_tally_bits`, never touching a row); any other set by counting
+codes (`_tally_codes`).  `_projector` projects one row, for
+`construct`'s per-row counts and constraint checks.
 """
 
 from __future__ import annotations
@@ -275,19 +274,11 @@ class AccessProfileArray(_Frozen):
         return tuple(zip(*self.rows))
 
     @cached_property
-    def _value_masks(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-        """Per column, (value, mask) for each value that appears, ascending;
-        bit i of the mask is set when row i holds the value.  Built in C from
-        one byte per cell, so every domain must have at most 256 values."""
-        out = []
-        for column, size in zip(self.columns, self.schema.sizes):
-            cells = bytes(column)[::-1]  # row 0 is the last digit, bit 0
-            masks = (
-                int(cells.translate(b"0" * v + b"1" + b"0" * (255 - v)), 2)
-                for v in range(size)
-            )
-            out.append(tuple((v, m) for v, m in enumerate(masks) if m))
-        return tuple(out)
+    def _value_masks(self) -> Dict[int, Tuple[Tuple[int, int], ...]]:
+        """Column -> (value, mask) for each value that appears in it,
+        ascending; bit i of a mask is set when row i holds the value.
+        Filled by `_column_masks` as the bit path first reads a column."""
+        return {}
 
     def row_multiset(self) -> Counter:
         return Counter(self.rows)
@@ -391,10 +382,25 @@ def _tally_codes(
         yield cols, dict(zip(decoders[len(cols)](order), map(counts.__getitem__, order)))
 
 
+def _column_masks(array: AccessProfileArray, c: int) -> Tuple[Tuple[int, int], ...]:
+    """`array._value_masks[c]`, built in C from one byte per cell the first
+    time, so column c must have at most 256 values."""
+    masks = array._value_masks
+    if c not in masks:
+        cells = bytes(array.columns[c])[::-1]  # row 0 is the last digit, bit 0
+        pairs = (
+            (v, int(cells.translate(b"0" * v + b"1" + b"0" * (255 - v)), 2))
+            for v in range(array.schema.sizes[c])
+        )
+        masks[c] = tuple((v, m) for v, m in pairs if m)
+    return masks[c]
+
+
 def _tally_bits(
     array: AccessProfileArray, column_sets: Iterable[ColumnSet]
 ) -> Iterator[Tuple[ColumnSet, Dict[Row, int]]]:
-    """`_coded_counts` by ANDing `_value_masks`, without touching rows.
+    """`_coded_counts` by ANDing the columns' value masks, without touching
+    rows.
 
     The (value prefix, rows mask) pairs of each leading run of columns
     with a row in common are kept while consecutive column sets share that
@@ -402,10 +408,10 @@ def _tally_bits(
     popcounts of each prefix mask AND each value mask.  Prefixes and
     values ascend, so each dict comes out sorted by value tuple.
     """
-    masks = array._value_masks
+    masks = partial(_column_masks, array)
     head: ColumnSet = ()
-    # levels[d]: the pairs of the current head's first d + 1 columns;
-    # -1 has every bit set, so the empty prefix holds every row
+    # levels[d]: the pairs of the current head's first d columns; -1 has
+    # every bit set, so the empty prefix holds every row
     levels: List[List[Tuple[Row, int]]] = [[((), -1)]]
     for cols in column_sets:
         keep = 0
@@ -417,10 +423,10 @@ def _tally_bits(
             levels.append([
                 (prefix + (v,), both)
                 for prefix, rows in levels[-1]
-                for v, m in masks[c]
+                for v, m in masks(c)
                 if (both := rows & m)
             ])
-        last = masks[cols[-1]]
+        last = masks(cols[-1])
         yield cols, {
             prefix + (v,): n
             for prefix, rows in levels[-1]
@@ -430,17 +436,14 @@ def _tally_bits(
 
 
 def _use_bits(array: AccessProfileArray, cols: ColumnSet) -> bool:
-    """Whether `_tally_bits` counts `cols`: measured faster than counting
-    codes when N is at least 4 times the value tuples their domains allow,
-    and no larger when all but the last column allow at most 256, so the
-    longest prefixes' masks take at most 32·N bytes."""
-    sizes = array.schema.sizes
-    if max(sizes) > 256:
-        return False
-    heads = 1
-    for c in cols[:-1]:
-        heads *= sizes[c]
-    return heads <= 256 and 4 * heads * sizes[cols[-1]] <= array.n_rows
+    """Whether `_tally_bits` counts `cols`: where it measured faster than
+    counting codes, on two or more columns whose domains allow at most 256
+    value tuples, a quarter of N or fewer.  At most 256 prefix masks of N
+    bits are then held at once, and every domain fits in a byte."""
+    tuples = 1
+    for c in cols:
+        tuples *= array.schema.sizes[c]
+    return len(cols) > 1 and tuples <= 256 and 4 * tuples <= array.n_rows
 
 
 def _coded_counts(

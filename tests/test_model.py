@@ -12,7 +12,7 @@ from anonarray import (
     credential_of_row,
     enumerate_column_sets,
 )
-from anonarray.model import _use_bits
+from anonarray.model import _column_masks, _use_bits
 
 
 def binomial_recursive(n, k):
@@ -179,22 +179,34 @@ class TestCountingPath:
         assert _use_bits(_uniform(96, (2, 3, 4)), (0, 1, 2))
         assert not _use_bits(_uniform(95, (2, 3, 4)), (0, 1, 2))
 
-    def test_codes_past_256_prefixes(self):
-        # the prefix (0, 1) has 16 * 17 = 272 values; N is past 4 * 272 * 2
-        array = _uniform(3000, (16, 17, 2))
-        assert _use_bits(array, (0, 2))
-        assert not _use_bits(array, (0, 1, 2))
+    def test_codes_past_256_value_tuples(self):
+        # N is past 4 * 257; a 257-value column would not fit a byte either
+        array = _uniform(3000, (16, 16, 1, 257))
+        assert _use_bits(array, (0, 1))
+        assert not _use_bits(array, (2, 3))
 
-    def test_codes_when_a_domain_exceeds_a_byte(self):
-        # a 257-value column anywhere rules out the byte-built masks
-        assert _use_bits(_uniform(8, (2, 256)), (0,))
-        assert not _use_bits(_uniform(8, (2, 257)), (0,))
+    def test_codes_on_one_column(self):
+        array = _uniform(1000, (2, 3))
+        assert not _use_bits(array, (0,))
+        assert _use_bits(array, (0, 1))
+
+    def test_masks_only_for_the_columns_counted(self):
+        # a 300-value column does not fit a byte, and is never made a mask
+        array = _uniform(1000, (2, 3, 300))
+        table = count_credentials(array, (0, 1))
+        assert sorted(array._value_masks) == [0, 1]
+        # row i holds (i % 2, i % 3); 1000 = 6 * 166 + 4
+        assert table.counts == {
+            (0, 0): 167, (0, 1): 166, (0, 2): 167, (1, 0): 167, (1, 1): 167, (1, 2): 166
+        }
 
     def test_value_masks_hold_row_i_at_bit_i(self):
         array = AccessProfileArray(
             AttributeSchema([AttributeDef("a", ("x", "y", "z"))]), [(2,), (0,), (0,)]
         )
-        assert array._value_masks == (((0, 0b110), (2, 0b001)),)
+        masks = _column_masks(array, 0)
+        assert masks == ((0, 0b110), (2, 0b001))
+        assert _column_masks(array, 0) is masks  # built once, then cached
 
 
 class TestCredentialOfRow:
