@@ -9,14 +9,15 @@ and unhashable.
 Credentials are counted on two paths, both read by column.  `_codes`
 codes each row's value tuple on a column set as one integer;
 `homogeneity` groups rows by these codes and has `_decoder` decode only
-the distinct ones it lists.  `_column_masks` holds, per column and value,
-the rows holding it as the bits of one integer.  `_coded_counts` counts
-for `count_credentials`, `verify` and `construct`.  A dense column set,
-of two or more columns whose domains allow at most 256 value tuples and
-N at least 4 times that many, it counts by ANDing masks and counting
-bits (`_tally_bits`, never touching a row); any other set by counting
-codes (`_tally_codes`).  `_projector` projects one row, for
-`construct`'s per-row counts and constraint checks.
+the distinct ones it lists.  `_column_masks` gives, per column and
+value, the rows holding it as the bits of one integer, cached on the
+array.  `_coded_counts` counts for `count_credentials`, `verify` and
+`construct`: a dense column set, of two or more columns whose domains
+allow at most 256 value tuples and N at least 4 times that many, by
+ANDing masks and counting bits (`_tally_bits`, never touching a row);
+any other set by counting codes (`_tally_codes`).  `_projector`
+projects one row, for `construct`'s per-row counts and constraint
+checks.
 """
 
 from __future__ import annotations
