@@ -170,8 +170,12 @@ def cmd_homogeneity(args) -> int:
         closeness = ([hom.render_score(a / lcm) for a in row] for row, lcm in rows)
     to_file = args.hypergraph_out and args.hypergraph_out != "-"
     # opened before anything is written, so a bad path prints nothing
-    graph = open(args.hypergraph_out, "w", encoding="utf-8") if to_file else nullcontext()
-    with graph:
+    graph = (
+        open(args.hypergraph_out, "w", encoding="utf-8")
+        if to_file
+        else nullcontext(sys.stdout)
+    )
+    with graph as graph_out:
         if args.json:
             doc = {
                 "format_version": FORMAT_VERSION,
@@ -198,13 +202,10 @@ def cmd_homogeneity(args) -> int:
                 for row in closeness:
                     print(" ".join(row))
         if args.hypergraph:
-            pieces = hom._hypergraph_pieces(
-                array, args.t, _HYPERGRAPH_FMT[args.hypergraph]
+            graph_out.writelines(
+                hom._hypergraph_pieces(array, args.t, _HYPERGRAPH_FMT[args.hypergraph])
             )
-            if to_file:
-                graph.writelines(pieces)
-            else:
-                sys.stdout.writelines(pieces)
+            if not to_file:
                 print()
     return EXIT_OK
 
