@@ -13,16 +13,12 @@ from .constraints import (
     ConstraintSet,
     FeasibilityReport,
     check_feasibility,
-    classify,
-    derive_implicit_hard,
     row_lower_bound,
 )
 from .construct import (
     ConstructionConfig,
     ConstructionResult,
     construct_padding,
-    deficiency,
-    suggest_credential_size,
 )
 from .errors import (
     AnonArrayError,
@@ -50,7 +46,6 @@ from .model import (
     Credential,
     CredentialCountTable,
     count_credentials,
-    credential_of_row,
     enumerate_column_sets,
 )
 from .verify import (
@@ -88,15 +83,11 @@ __all__ = [
     "ValidationResult",
     "anonymity_profile",
     "check_feasibility",
-    "classify",
     "closeness",
     "closeness_matrix",
     "compute_guarantee",
     "construct_padding",
     "count_credentials",
-    "credential_of_row",
-    "deficiency",
-    "derive_implicit_hard",
     "enumerate_column_sets",
     "export_hypergraph",
     "global_homogeneity",
@@ -104,7 +95,6 @@ __all__ = [
     "local_homogeneity",
     "neighborhoods",
     "row_lower_bound",
-    "suggest_credential_size",
     "validate",
     "weight",
 ]

@@ -81,6 +81,13 @@ def _warn_trivial(schema):
 def cmd_verify(args) -> int:
     schema, array, constraints, allowed = _load_inputs(args)
     _warn_trivial(schema)
+    for cols in allowed or ():  # the library names a set by its indices
+        if len(cols) != args.t and 1 <= args.t <= schema.k:
+            names = [schema.attributes[c].name for c in cols]
+            raise InvalidParameterError(
+                f"{args.constraints}: allowed_column_sets: column set {names!r} "
+                f"does not have t={args.t} attributes"
+            )
     result = None
     if args.r is None:
         report = verify_mod.compute_guarantee(array, args.t, constraints, allowed)

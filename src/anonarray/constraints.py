@@ -1,18 +1,17 @@
 """Hard / soft / don't-care constraints, the row completer, the exact
 feasibility check, and the row-count lower bound.
 
-Classification rules, as `classify` states them for one credential:
-  * a credential is hard when it is a superset of any hard constraint
-    (hard constraints forbid every row that contains them);
-  * soft and don't-care constraints match the counted credential itself,
-    except that a superset of a don't-care credential is also don't-care
-    (it can never be used in a policy either);
-  * everything else is unconstrained.
+Classification rules for one credential, the first that applies wins:
+  * hard when it contains any hard constraint (hard constraints forbid
+    every row that contains them);
+  * soft when it is a soft constraint itself; a superset of one is not;
+  * don't-care when it contains a don't-care constraint (a superset of a
+    don't-care credential can never be used in a policy either);
+  * unconstrained otherwise.
 `kinds_on` applies them to a whole sorted column set: it maps only the
 constrained value tuples to their kinds, at a cost that follows the
 constraints inside the set, not v^t; a scan passes the tuples that
-appear, and the map then covers only those.  `classify` is its tested
-reference.
+appear, and the map then covers only those.
 
 A row is legal when it contains no hard constraint, whatever the
 constraint's size.  `complete` is the one answer to "does this partial
@@ -98,21 +97,6 @@ class FeasibilityReport(_Frozen):
     witnesses: Tuple[Tuple[Credential, str], ...]
 
 
-def classify(credential: Credential, constraints: ConstraintSet) -> str:
-    """Kind of a credential under the given constraint set."""
-    for h in constraints.hard:
-        if credential.contains(h):
-            return HARD
-    if credential in constraints.soft:
-        return SOFT
-    if credential in constraints.dont_care:
-        return DONT_CARE
-    for d in constraints.dont_care:
-        if credential.contains(d):
-            return DONT_CARE
-    return UNCONSTRAINED
-
-
 def kinds_on(
     schema: AttributeSchema,
     constraints: ConstraintSet,
@@ -120,7 +104,8 @@ def kinds_on(
     among: Optional[Collection[Row]] = None,
 ) -> Dict[Row, str]:
     """The constrained value tuples on one sorted column set, each with the
-    kind `classify` gives it; every tuple not in the map is unconstrained.
+    kind the module's rules give it; every tuple not in the map is
+    unconstrained.
 
     Given `among`, some value tuples on `cols` (those that appear in an
     array, say), the map holds only tuples from it, and a constraint
@@ -347,14 +332,6 @@ def check_feasibility(
         implicit_hard=frozenset(derived),
         witnesses=tuple(witnesses),
     )
-
-
-def derive_implicit_hard(
-    schema: AttributeSchema, constraints: ConstraintSet, t: int
-) -> FrozenSet[Credential]:
-    """Minimal credentials of size <= t that no legal row contains, other
-    than the hard constraints themselves."""
-    return check_feasibility(schema, constraints, t).implicit_hard
 
 
 def row_lower_bound(

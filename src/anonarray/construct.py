@@ -215,30 +215,13 @@ class _State:
         return [s for s, i, values in self.soft if not self.counts[i][values]]
 
     def deficiency(self) -> DeficiencyMap:
+        """The shortfall of every deficient credential, keyed by column set
+        and credential; hard and don't-care credentials are never in it."""
         short = dict(zip(self.columns, self.shortfalls))
         return {
             (cols, Credential(tuple(zip(cols, values)))): short[cols][values]
             for cols, values in self.targets
         }
-
-
-def deficiency(
-    array: AccessProfileArray,
-    r_target: int,
-    t: int,
-    constraints: ConstraintSet,
-) -> DeficiencyMap:
-    """Shortfall of every credential that must still reach r_target.
-
-    Appearing non-don't-care credentials below target and absent
-    unconstrained credentials are deficient; absent soft credentials are
-    not; hard credentials never appear in the map.
-    """
-    feasibility = check_feasibility(array.schema, constraints, t)
-    if not feasibility.feasible:
-        raise InfeasibleError(feasibility, array.schema)
-    kinds = _credential_kinds(array.schema, constraints, t)
-    return _State(kinds, constraints, t, r_target, array).deficiency()
 
 
 def _holds_any(credentials) -> Callable[[Row], bool]:
@@ -349,11 +332,19 @@ def construct_padding(
         raise min(errors, key=lambda exc: sum(exc.remaining.values()))
     # fewest rows, then the smallest rows; the first attempt among equals
     rows, trace = min(results, key=lambda result: (len(result[0]), result[0]))
-    if not rows:
-        # from scratch with no credential that must appear: r_target copies
-        # of one legal row make a valid array
-        row = complete(schema, constraints.hard, {})
-        rows, trace = [row] * config.r_target, [(row, 0)] * config.r_target
+    fill = config.r_target - len(rows)
+    if fill > 0:
+        # all the rows hold is don't-care, so the guarantee is the row count:
+        # copies of a base row, or from scratch of one legal row, raise it
+        if config.max_rows is not None and config.max_rows < config.r_target:
+            raise BudgetExceededError(
+                partial_rows=list(rows),
+                remaining={},
+                message=f"row budget exhausted: max_rows={config.max_rows} "
+                f"is below r_target={config.r_target}",
+            )
+        row = rows[0] if rows else complete(schema, constraints.hard, {})
+        rows, trace = rows + [row] * fill, trace + [(row, 0)] * fill
     labels = None
     if base is not None and base.row_labels is not None:
         padding = range(1, len(rows) - len(base_rows) + 1)
@@ -368,30 +359,3 @@ def construct_padding(
         trace=tuple(trace),
     )
 
-
-def suggest_credential_size(
-    base: AccessProfileArray,
-    constraints: ConstraintSet,
-    r_target: int,
-    row_budget: int,
-    seed: int = 0,
-) -> Tuple[int, Optional[ConstructionResult]]:
-    """Largest t for which r_target is reachable within the row budget.
-
-    Searches t from k downward, constructing with max_rows = row_budget;
-    returns (0, None) when no t works.  A base holding a hard constraint raises.
-    """
-    if row_budget < base.n_rows:
-        raise InvalidParameterError("row_budget must cover the base array")
-    for t in range(base.k, 0, -1):
-        if row_lower_bound(base.schema, constraints, r_target, t) > row_budget:
-            continue
-        config = ConstructionConfig(
-            r_target=r_target, t=t, seed=seed, max_rows=row_budget
-        )
-        try:
-            result = construct_padding(base, constraints, config)
-        except (BudgetExceededError, InfeasibleError):
-            continue
-        return t, result
-    return 0, None

@@ -59,11 +59,12 @@ class InfeasibleError(AnonArrayError):
 class BudgetExceededError(AnonArrayError):
     """Row budget ran out before the target guarantee was met."""
 
-    def __init__(self, partial_rows, remaining):
+    def __init__(self, partial_rows, remaining, message=None):
         self.partial_rows = partial_rows
         self.remaining = remaining
         super().__init__(
-            f"row budget exhausted with {len(remaining)} credentials still deficient"
+            message
+            or f"row budget exhausted with {len(remaining)} credentials still deficient"
         )
 
 

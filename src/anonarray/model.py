@@ -469,17 +469,6 @@ def count_credentials(array: AccessProfileArray, column_set: Iterable[int]) -> C
     return CredentialCountTable(column_set=cols, counts=counts, total=array.n_rows)
 
 
-def credential_of_row(array: AccessProfileArray, row: int, column_set: Iterable[int]) -> Credential:
-    """The unique credential of one row restricted to the given columns."""
-    if not 0 <= row < array.n_rows:
-        raise InvalidParameterError(f"row index {row} out of range")
-    cols = tuple(column_set)
-    for c in cols:
-        if not 0 <= c < array.k:
-            raise InvalidParameterError(f"column index {c} out of range")
-    return Credential(tuple((c, array.rows[row][c]) for c in cols))
-
-
 def _rows_holding(array: AccessProfileArray, credential: Credential) -> List[int]:
     """Ascending indices of the rows that contain the credential, found
     column by column."""

@@ -3,8 +3,9 @@
 These deliberately stay naive: the guarantee oracle enumerates every
 possible value combination and scans every row per credential; the
 homogeneity oracle works from the pairwise closeness matrix built
-straight from the weight definition.  Neither shares code paths with the
-library's scanning or accumulation shortcuts.
+straight from the weight definition; `classify` applies the
+classification rules to one credential at a time.  None shares code
+paths with the library's scanning or accumulation shortcuts.
 """
 
 from collections import Counter
@@ -12,7 +13,22 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from anonarray import Credential
-from anonarray.constraints import DONT_CARE, HARD, SOFT, classify
+from anonarray.constraints import DONT_CARE, HARD, SOFT, UNCONSTRAINED
+
+
+def classify(credential, constraints):
+    """Kind of one credential under the constraint set, the first rule
+    that applies: hard when it contains a hard constraint, soft when it is
+    a soft constraint, don't-care when it contains a don't-care one."""
+    for h in constraints.hard:
+        if credential.contains(h):
+            return HARD
+    if credential in constraints.soft:
+        return SOFT
+    for d in constraints.dont_care:
+        if credential.contains(d):
+            return DONT_CARE
+    return UNCONSTRAINED
 
 
 def brute_force_counts(array, cols):
@@ -133,7 +149,7 @@ def brute_force_short_credentials(array, r_target, t, constraints):
 
 
 def brute_force_deficiency(rows, schema, constraints, r, t):
-    """The shortfall map of `construct.deficiency` over `rows`: every
+    """The shortfall map of `construct._State.deficiency` over `rows`: every
     size-t credential that is neither hard nor don't-care and appears
     fewer than r times (an absent soft one is not short), then every soft
     constraint smaller than t that appears fewer than r times.  Counts

@@ -11,14 +11,12 @@ from anonarray import (
     InvalidParameterError,
     SearchBudgetError,
     check_feasibility,
-    classify,
-    derive_implicit_hard,
     row_lower_bound,
 )
 from anonarray.constraints import DONT_CARE, HARD, SOFT, UNCONSTRAINED, complete
 
 from conftest import cred
-from oracles import brute_force_infeasible_credentials
+from oracles import brute_force_infeasible_credentials, classify
 
 
 class TestConstraintSet:
@@ -29,6 +27,9 @@ class TestConstraintSet:
 
 
 class TestClassify:
+    """The oracles' `classify`, which `kinds_on` is tested against, on
+    hand-worked cases."""
+
     def test_hard_from_table(self, pair_block_constraints):
         assert classify(Credential(((0, 0), (1, 0))), pair_block_constraints) == HARD
 
@@ -65,11 +66,12 @@ class TestClassify:
 
 class TestDeriveImplicitHard:
     def test_value_elimination(self, binary3_schema, pair_block_constraints):
-        derived = derive_implicit_hard(binary3_schema, pair_block_constraints, 2)
-        assert derived == frozenset({Credential(((0, 0),))})
+        report = check_feasibility(binary3_schema, pair_block_constraints, 2)
+        assert report.implicit_hard == frozenset({Credential(((0, 0),))})
 
     def test_empty_hard_set(self, binary3_schema):
-        assert derive_implicit_hard(binary3_schema, ConstraintSet(), 2) == frozenset()
+        report = check_feasibility(binary3_schema, ConstraintSet(), 2)
+        assert report.implicit_hard == frozenset()
 
     def test_two_attribute_elimination(self):
         from anonarray import AttributeDef, AttributeSchema
@@ -86,7 +88,7 @@ class TestDeriveImplicitHard:
                 }
             )
         )
-        derived = derive_implicit_hard(schema, cons, 2)
+        derived = check_feasibility(schema, cons, 2).implicit_hard
         # brute force over the 4 full rows: only (1, 1) survives
         assert derived == frozenset(
             {Credential(((0, 0),)), Credential(((1, 0),))}
@@ -95,13 +97,13 @@ class TestDeriveImplicitHard:
     def test_derived_are_genuinely_infeasible(
         self, binary3_schema, pair_block_constraints
     ):
-        derived = derive_implicit_hard(binary3_schema, pair_block_constraints, 2)
+        report = check_feasibility(binary3_schema, pair_block_constraints, 2)
         infeasible = set(
             brute_force_infeasible_credentials(
                 binary3_schema, pair_block_constraints.hard, 2
             )
         )
-        for c in derived:
+        for c in report.implicit_hard:
             assert c in infeasible
 
     def test_monotone_in_hard_set(self, binary3_schema, pair_block_constraints):
@@ -109,8 +111,10 @@ class TestDeriveImplicitHard:
             hard=pair_block_constraints.hard
             | {Credential(((1, 1), (2, 0))), Credential(((1, 1), (2, 1)))}
         )
-        small = derive_implicit_hard(binary3_schema, pair_block_constraints, 2)
-        large = derive_implicit_hard(binary3_schema, bigger, 2)
+        small = check_feasibility(
+            binary3_schema, pair_block_constraints, 2
+        ).implicit_hard
+        large = check_feasibility(binary3_schema, bigger, 2).implicit_hard
         # enlarging the hard set never shrinks the forbidden region
         for c in small:
             assert any(c.contains(d) or d.contains(c) or c == d for d in large)
@@ -131,15 +135,15 @@ class TestDeriveImplicitHard:
                 }
             )
         )
-        assert derive_implicit_hard(schema, cons, 2) == frozenset(
+        assert check_feasibility(schema, cons, 2).implicit_hard == frozenset(
             {Credential(((0, 0),))}
         )
 
     def test_hard_constraints_larger_than_t_count(
         self, binary3_schema, halfspace_constraints
     ):
-        derived = derive_implicit_hard(binary3_schema, halfspace_constraints, 1)
-        assert derived == frozenset({Credential(((0, 0),))})
+        report = check_feasibility(binary3_schema, halfspace_constraints, 1)
+        assert report.implicit_hard == frozenset({Credential(((0, 0),))})
 
 
 class TestComplete:
@@ -156,7 +160,7 @@ class TestComplete:
         schema, cons = uncolourable
         assert complete(schema, cons.hard, {0: 0}) == (0, 0, 0, 0, 0)
         assert complete(schema, cons.hard, {0: 1}) is None
-        assert derive_implicit_hard(schema, cons, 2) == frozenset(
+        assert check_feasibility(schema, cons, 2).implicit_hard == frozenset(
             {Credential(((0, 1),))}
         )
 

@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -17,14 +16,12 @@ from anonarray import (
     InvalidParameterError,
     compute_guarantee,
     construct_padding,
-    deficiency,
     global_homogeneity,
-    is_anonymizing_for,
     row_lower_bound,
-    suggest_credential_size,
     validate,
 )
 from anonarray.constraints import kinds_on
+from anonarray.construct import _credential_kinds, _State
 from anonarray.io import load_constraints
 
 from conftest import FIXTURES, cred
@@ -45,11 +42,17 @@ class TestConfig:
             ConstructionConfig(r_target=2, t=2, homogeneity_weight=w)
 
 
+def state_deficiency(array, r_target, t, constraints):
+    """The shortfall map of a construction state counted from `array`."""
+    kinds = _credential_kinds(array.schema, constraints, t)
+    return _State(kinds, constraints, t, r_target, array).deficiency()
+
+
 class TestDeficiency:
     def test_array_a_shortfalls(
         self, array_a, university_constraints, university_schema
     ):
-        defic = deficiency(array_a, 2, 2, university_constraints)
+        defic = state_deficiency(array_a, 2, 2, university_constraints)
         cs_grader = cred(university_schema, ("Job", "grader"), ("Department", "CS"))
         assert defic[(cs_grader.attributes, cs_grader)] == 1
         fac_spring = cred(university_schema, ("Role", "faculty"), ("Semester", "Spring"))
@@ -58,20 +61,21 @@ class TestDeficiency:
         assert sum(defic.values()) == 18
 
     def test_array_b_empty(self, array_b, university_constraints):
-        assert deficiency(array_b, 2, 2, university_constraints) == {}
+        assert state_deficiency(array_b, 2, 2, university_constraints) == {}
 
     def test_r1_always_empty(self, full_factorial):
-        assert deficiency(full_factorial, 1, 2, ConstraintSet()) == {}
+        assert state_deficiency(full_factorial, 1, 2, ConstraintSet()) == {}
 
     def test_absent_soft_not_deficient(self, array_a, university_constraints):
-        defic = deficiency(array_a, 2, 2, university_constraints)
+        defic = state_deficiency(array_a, 2, 2, university_constraints)
         soft = next(iter(university_constraints.soft))
         assert (soft.attributes, soft) not in defic
 
     def test_infeasible_system_raises(self, binary3_schema, pair_block_constraints):
         arr = AccessProfileArray(binary3_schema, ((1, 0, 0),))
+        config = ConstructionConfig(r_target=2, t=2)
         with pytest.raises(InfeasibleError) as exc:
-            deficiency(arr, 2, 2, pair_block_constraints)
+            construct_padding(arr, pair_block_constraints, config)
         assert exc.value.report.witnesses
 
     def test_infeasible_message_names_each_credential(self, binary3_schema):
@@ -134,6 +138,34 @@ class TestConstructPadding:
             construct_padding(array_a, university_constraints, config)
         assert len(exc.value.partial_rows) == 8
         assert exc.value.remaining
+
+    def test_max_rows_below_base_rejected(self, array_b, university_constraints):
+        config = ConstructionConfig(r_target=2, t=2, max_rows=array_b.n_rows - 1)
+        with pytest.raises(InvalidParameterError, match="smaller than the base"):
+            construct_padding(array_b, university_constraints, config)
+
+    def test_max_rows_below_r_target_with_nothing_to_pad(self):
+        # every credential is don't-care, so only the row count must reach r
+        schema = AttributeSchema(
+            (AttributeDef("A", ("x", "y")), AttributeDef("B", ("p", "q")))
+        )
+        cons = ConstraintSet(
+            dont_care=frozenset({Credential(((0, 0),)), Credential(((0, 1),))})
+        )
+        config = ConstructionConfig(r_target=2, t=2, max_rows=1)
+        with pytest.raises(BudgetExceededError, match="max_rows=1 is below r_target=2"):
+            construct_padding(None, cons, config, schema=schema)
+        base = AccessProfileArray(schema, ((1, 1),))
+        with pytest.raises(BudgetExceededError) as exc:
+            construct_padding(base, cons, config)
+        assert exc.value.partial_rows == [(1, 1)]
+        assert exc.value.remaining == {}
+        config = ConstructionConfig(r_target=3, t=2, max_rows=3)
+        result = construct_padding(base, cons, config)
+        # copies of the base row keep every credential don't-care
+        assert result.array.rows == ((1, 1),) * 3
+        assert result.achieved.r == 3
+        assert validate(result.array, 3, 2, cons).ok
 
     def test_deterministic(self, array_a, university_constraints):
         config = ConstructionConfig(r_target=2, t=2, seed=7)
@@ -295,30 +327,3 @@ class TestConstructPadding:
         assert validate(result.array, 2, 2, constraints).ok
         assert result.array.n_rows == row_lower_bound(schema, constraints, 2, 2) == 4
 
-
-class TestSuggestCredentialSize:
-    def test_array_a_budget_12(self, array_a, university_constraints):
-        t, result = suggest_credential_size(array_a, university_constraints, 2, 12)
-        assert t == 2
-        assert result.array.n_rows <= 12
-
-    def test_array_b_budget_12(self, array_b, university_constraints):
-        t, result = suggest_credential_size(array_b, university_constraints, 2, 12)
-        assert t == 2
-
-    def test_budget_below_base_rejected(self, array_b, university_constraints):
-        with pytest.raises(InvalidParameterError):
-            suggest_credential_size(array_b, university_constraints, 2, 6)
-
-    def test_base_with_hard_violation_raises(self, binary3_schema, full_factorial):
-        # the base is illegal at every t, not out of reach at every t
-        cons = ConstraintSet(hard=frozenset({Credential(((0, 0), (1, 0), (2, 0)))}))
-        base = AccessProfileArray(binary3_schema, full_factorial.rows * 2)
-        with pytest.raises(InvalidParameterError, match="row 1 violates hard"):
-            suggest_credential_size(base, cons, 2, 40)
-
-    def test_unreachable_returns_zero(self, binary3_schema):
-        arr = AccessProfileArray(binary3_schema, ((0, 0, 0), (1, 1, 1)))
-        t, result = suggest_credential_size(arr, ConstraintSet(), 3, 2)
-        assert t == 0
-        assert result is None

@@ -169,6 +169,24 @@ class TestCliVerify:
         assert code == 0
         assert "r = 2" in out
 
+    def test_allowed_set_of_wrong_size_names_the_file(self, capsys, tmp_path):
+        cons = tmp_path / "c.json"
+        cons.write_text(json.dumps({"allowed_column_sets": [["Role", "Job"], ["Role"]]}))
+        code, out, err = run(
+            capsys,
+            "verify",
+            FIXTURES / "university_schema.json",
+            FIXTURES / "array_a.csv",
+            cons,
+            "--t",
+            "2",
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {cons}: allowed_column_sets: column set ['Role'] "
+            "does not have t=2 attributes\n"
+        )
+
     def test_array_a_target_violated(self, capsys):
         code, out, _ = run(
             capsys,
@@ -658,6 +676,30 @@ class TestCliConstruct:
         )
         assert code == 4
         assert err.startswith("error: row budget exhausted with ")
+
+    def test_budget_below_r_target_with_nothing_to_pad_exit_4(self, capsys, tmp_path):
+        # every credential is don't-care, yet one row cannot meet r = 2
+        schema = tmp_path / "s.json"
+        schema.write_text(
+            json.dumps(
+                {
+                    "attributes": [
+                        {"name": "A", "values": ["x", "y"]},
+                        {"name": "B", "values": ["p", "q"]},
+                    ]
+                }
+            )
+        )
+        cons = tmp_path / "c.json"
+        cons.write_text(json.dumps({"dont_care": [[["A", "x"]], [["A", "y"]]]}))
+        argv = ["construct", schema, "-", cons, "--t", "2", "--r", "2"]
+        code, out, err = run(capsys, *argv, "--max-rows", "1")
+        assert (code, out) == (4, "")
+        assert err == (
+            "error: row budget exhausted: max_rows=1 is below r_target=2\n"
+        )
+        code, out, _ = run(capsys, *argv, "--max-rows", "2")
+        assert (code, out) == (0, "A,B\nx,p\nx,p\n")
 
     def test_same_seed_same_output(self, capsys, tmp_path):
         outputs = []

@@ -9,7 +9,6 @@ from anonarray import (
     Credential,
     InvalidParameterError,
     count_credentials,
-    credential_of_row,
     enumerate_column_sets,
 )
 from anonarray.model import _column_masks, _use_bits
@@ -141,6 +140,12 @@ class TestCounting:
         table = count_credentials(arr, (0, 1))
         assert sum(table.counts.values()) == 3
 
+    def test_every_row_appears_in_counts(self, array_b):
+        for cols in enumerate_column_sets(array_b.k, 2):
+            table = count_credentials(array_b, cols)
+            for row in array_b.rows:
+                assert table.counts[tuple(row[c] for c in cols)] >= 1
+
     def test_single_column_keys_are_1_tuples(self, array_a):
         assert count_credentials(array_a, (1,)).counts == {(0,): 4, (1,): 2}
 
@@ -208,27 +213,3 @@ class TestCountingPath:
         assert masks == ((0, 0b110), (2, 0b001))
         assert _column_masks(array, 0) is masks  # built once, then cached
 
-
-class TestCredentialOfRow:
-    def test_array_a_row0(self, array_a):
-        c = credential_of_row(array_a, 0, (0, 2))
-        assert c.pairs == ((0, 0), (2, 0))  # (faculty, CS)
-
-    def test_full_row(self, full_factorial):
-        c = credential_of_row(full_factorial, 5, (0, 1, 2))
-        assert c.pairs == ((0, 1), (1, 0), (2, 1))
-
-    def test_fig_low_homogeneity_row0(self, full_factorial):
-        c = credential_of_row(full_factorial, 0, (0, 1))
-        assert c.pairs == ((0, 0), (1, 0))
-
-    def test_appears_in_counts(self, array_b):
-        for cols in enumerate_column_sets(array_b.k, 2):
-            table = count_credentials(array_b, cols)
-            for i in range(array_b.n_rows):
-                c = credential_of_row(array_b, i, cols)
-                assert table.counts[tuple(v for _, v in c.pairs)] >= 1
-
-    def test_row_out_of_range(self, array_a):
-        with pytest.raises(InvalidParameterError):
-            credential_of_row(array_a, 99, (0, 1))

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import anonarray
 from anonarray import (
     AccessProfileArray,
     AnonymityProfile,
@@ -235,3 +236,56 @@ def test_cached_properties_survive_freezing():
         f"AttributeSchema(attributes=({A_REPR}, "
         "AttributeDef(name='b', values=('x', 'y', 'z'))))"
     )
+
+
+def test_public_api_is_pinned():
+    assert anonarray.__all__ == [
+        "AccessProfileArray",
+        "AnonArrayError",
+        "AnonymityProfile",
+        "AttributeDef",
+        "AttributeSchema",
+        "BudgetExceededError",
+        "ConstraintSet",
+        "ConstructionConfig",
+        "ConstructionResult",
+        "Credential",
+        "CredentialCountTable",
+        "FeasibilityReport",
+        "GuaranteeReport",
+        "HomogeneityReport",
+        "InfeasibleError",
+        "InvalidParameterError",
+        "Neighborhood",
+        "ParseError",
+        "SearchBudgetError",
+        "ValidationResult",
+        "anonymity_profile",
+        "check_feasibility",
+        "closeness",
+        "closeness_matrix",
+        "compute_guarantee",
+        "construct_padding",
+        "count_credentials",
+        "enumerate_column_sets",
+        "export_hypergraph",
+        "global_homogeneity",
+        "is_anonymizing_for",
+        "local_homogeneity",
+        "neighborhoods",
+        "row_lower_bound",
+        "validate",
+        "weight",
+    ]
+    for name in anonarray.__all__:
+        assert getattr(anonarray, name) is not None
+    # removed for want of a caller outside the tests
+    removed = [
+        "classify",
+        "credential_of_row",
+        "deficiency",
+        "derive_implicit_hard",
+        "suggest_credential_size",
+    ]
+    for name in removed:
+        assert not hasattr(anonarray, name)
