@@ -81,7 +81,8 @@ def _warn_trivial(schema):
 def cmd_verify(args) -> int:
     schema, array, constraints, allowed = _load_inputs(args)
     _warn_trivial(schema)
-    for cols in allowed or ():  # the library names a set by its indices
+    # the library names a wrong set by indices; a bad t stays its to report
+    for cols in allowed or ():
         if len(cols) != args.t and 1 <= args.t <= schema.k:
             names = [schema.attributes[c].name for c in cols]
             raise InvalidParameterError(

@@ -186,6 +186,16 @@ class TestCliVerify:
             f"error: {cons}: allowed_column_sets: column set ['Role'] "
             "does not have t=2 attributes\n"
         )
+        code, _, err = run(
+            capsys,
+            "verify",
+            FIXTURES / "university_schema.json",
+            FIXTURES / "array_a.csv",
+            cons,
+            "--t",
+            "5",
+        )
+        assert (code, err) == (1, "error: t=5 out of range for k=4\n")
 
     def test_array_a_target_violated(self, capsys):
         code, out, _ = run(
