@@ -358,4 +358,3 @@ def construct_padding(
         lower_bound=row_lower_bound(schema, constraints, config.r_target, config.t),
         trace=tuple(trace),
     )
-

@@ -326,4 +326,3 @@ class TestConstructPadding:
         assert any(fixed_cells)
         assert validate(result.array, 2, 2, constraints).ok
         assert result.array.n_rows == row_lower_bound(schema, constraints, 2, 2) == 4
-

@@ -212,4 +212,3 @@ class TestCountingPath:
         masks = _column_masks(array, 0)
         assert masks == ((0, 0b110), (2, 0b001))
         assert _column_masks(array, 0) is masks  # built once, then cached
-
