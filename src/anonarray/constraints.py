@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Callable, Collection, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import InvalidParameterError, SearchBudgetError
 from .model import (
@@ -141,6 +141,17 @@ def kinds_on(
 def _within(credential: Credential, cells: Dict[int, int]) -> bool:
     """True when every pair of the credential is one of the cells."""
     return all(cells.get(a) == v for a, v in credential.pairs)
+
+
+def _holds_any(credentials) -> Callable[[Row], bool]:
+    """Full row -> whether it holds any of the credentials: one projection
+    and one set lookup per attribute set the credentials use."""
+    by_attributes: Dict[ColumnSet, set] = {}
+    for cred in credentials:
+        values = tuple(v for _, v in cred.pairs)
+        by_attributes.setdefault(cred.attributes, set()).add(values)
+    checks = [(_projector(a), frozenset(v)) for a, v in by_attributes.items()]
+    return lambda row: any(proj(row) in values for proj, values in checks)
 
 
 def complete(

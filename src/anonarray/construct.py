@@ -30,6 +30,7 @@ from .constraints import (
     SOFT,
     UNCONSTRAINED,
     ConstraintSet,
+    _holds_any,
     check_feasibility,
     complete,
     kinds_on,
@@ -222,16 +223,6 @@ class _State:
             (cols, Credential(tuple(zip(cols, values)))): short[cols][values]
             for cols, values in self.targets
         }
-
-
-def _holds_any(credentials) -> Callable[[Row], bool]:
-    """Row -> whether it holds any of the credentials, by attribute set."""
-    by_attributes: Dict[ColumnSet, set] = {}
-    for cred in credentials:
-        values = tuple(v for _, v in cred.pairs)
-        by_attributes.setdefault(cred.attributes, set()).add(values)
-    checks = [(_projector(a), frozenset(v)) for a, v in by_attributes.items()]
-    return lambda row: any(proj(row) in values for proj, values in checks)
 
 
 def _drawer(sizes, cols: ColumnSet) -> Callable[[random.Random, Row], Row]:

@@ -32,7 +32,7 @@ from anonarray import (
     validate,
 )
 from anonarray import model
-from anonarray.constraints import HARD, UNCONSTRAINED, complete, kinds_on
+from anonarray.constraints import HARD, UNCONSTRAINED, _holds_any, complete, kinds_on
 from anonarray.construct import _credential_kinds, _drawer, _State
 from anonarray.homogeneity import Neighborhood, _edges
 from anonarray.io import write_json
@@ -553,6 +553,43 @@ def test_complete_is_first_legal_row_of_product(case, data):
             expected = row
             break
     assert complete(schema, constraints.hard, fixed) == expected
+
+
+@st.composite
+def credentials_and_rows(draw):
+    """A schema, 0-8 credentials of sizes 1..k (some sharing an attribute
+    set), and 1-10 full rows over it."""
+    schema = draw(schemas())
+
+    def cell(a):
+        return draw(st.integers(0, schema.sizes[a] - 1))
+
+    def credential():
+        size = draw(st.integers(1, schema.k))
+        cols = draw(st.permutations(range(schema.k)))[:size]
+        return Credential(tuple((a, cell(a)) for a in cols))
+
+    credentials = [credential() for _ in range(draw(st.integers(0, 8)))]
+    rows = [
+        tuple(map(cell, range(schema.k))) for _ in range(draw(st.integers(1, 10)))
+    ]
+    # a row that holds some credential, so "yes" answers are drawn often
+    if credentials:
+        cred = draw(st.sampled_from(credentials))
+        row = list(draw(st.sampled_from(rows)))
+        for a, v in cred.pairs:
+            row[a] = v
+        rows.append(tuple(row))
+    return credentials, rows
+
+
+@given(credentials_and_rows())
+@settings(max_examples=200, deadline=None)
+def test_holds_any_matches_contained_in_row(case):
+    credentials, rows = case
+    holds = _holds_any(credentials)
+    for row in rows:
+        assert holds(row) == any(c.contained_in_row(row) for c in credentials)
 
 
 @given(constraint_systems(), st.integers(0, 3))
