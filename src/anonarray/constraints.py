@@ -31,10 +31,12 @@ every component extends, and every minimal implicit hard constraint lies
 inside one component: the walk over credentials of size <= t stays
 inside each component, and its cost grows with the largest component,
 not with k.  Before asking `complete`, the walk writes the credential's
-cells over the component's smallest legal assignment and checks only the
-hard constraints touching them; when all 16 attributes of a 4-valued
-schema form one chain of 15 pairs at t=3, dropping that pre-test made
-the check 2.5-3 times slower.  When some component has no legal
+cells over the component's smallest legal assignment and tests that row
+with `_holds_any`, the full-row test construction's row filling uses
+too (the assignment was legal, so only constraints touching the written
+cells can hold); when all 16 attributes of a 4-valued schema form one
+chain of 15 pairs at t=3, dropping that pre-test made the check 2.5-3
+times slower.  When some component has no legal
 assignment, no row is legal, nothing extends, and every (attribute,
 value) pair that is not itself hard is derived; no witness is listed.
 
@@ -248,7 +250,7 @@ def _derive_in_component(
     """The minimal credentials of size <= t on one component's attributes
     that no legal row holds, other than its hard constraints, in walk
     order.  `base` is the component's smallest legal assignment."""
-    touching = {a: [h for h in hard if a in h.attributes] for a in attrs}
+    holds_hard = _holds_any(hard)
     derived: List[Credential] = []
     for size in range(1, min(t, len(attrs)) + 1):
         for cols in itertools.combinations(attrs, size):
@@ -256,12 +258,11 @@ def _derive_in_component(
                 fixed = dict(zip(cols, values))
                 if any(_within(d, fixed) for d in derived):
                     continue
-                # `base` is legal, so writing cells over it can only break
-                # the hard constraints that touch the written attributes
+                # extends when `base` with the cells written over it is legal
                 row = list(base)
                 for c, x in fixed.items():
                     row[c] = x
-                if not any(h.contained_in_row(row) for c in cols for h in touching[c]):
+                if not holds_hard(row):
                     continue
                 if complete(schema, hard, fixed) is not None:
                     continue
