@@ -36,9 +36,9 @@ with `_holds_any`, the full-row test construction's row filling uses
 too (the assignment was legal, so only constraints touching the written
 cells can hold); when all 16 attributes of a 4-valued schema form one
 chain of 15 pairs at t=3, dropping that pre-test made the check 2.5-3
-times slower.  When some component has no legal
-assignment, no row is legal, nothing extends, and every (attribute,
-value) pair that is not itself hard is derived; no witness is listed.
+times slower.  When some component has no legal assignment, no row is
+legal, nothing extends, and every (attribute, value) pair that is not
+itself hard is derived; no witness is listed.
 
 The appearance rule ("every unconstrained credential must appear r
 times") and hence feasibility and the lower bound are evaluated over
@@ -350,14 +350,18 @@ def row_lower_bound(
     schema: AttributeSchema, constraints: ConstraintSet, r: int, t: int
 ) -> int:
     """r times the largest count of unconstrained size-t credentials on any
-    single t-subset of attributes; a lower bound on N when every
-    unconstrained credential must appear.  Per column set that count is
-    the product of its domain sizes less the size of its `kinds_on` map."""
+    single t-subset of attributes, and at least r, since an array that
+    meets r has r rows or more even when no credential must appear; a
+    lower bound on N.  Per column set that count is the product of its
+    domain sizes less the size of its `kinds_on` map."""
     if r < 1:
         raise InvalidParameterError("r must be at least 1")
     constraints.validate_for(schema)
     return r * max(
-        math.prod(schema.sizes[c] for c in cols)
-        - len(kinds_on(schema, constraints, cols))
-        for cols in enumerate_column_sets(schema.k, t)
+        1,
+        *(
+            math.prod(schema.sizes[c] for c in cols)
+            - len(kinds_on(schema, constraints, cols))
+            for cols in enumerate_column_sets(schema.k, t)
+        ),
     )

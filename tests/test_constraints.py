@@ -307,6 +307,18 @@ class TestRowLowerBound:
         )
         assert row_lower_bound(schema, ConstraintSet(), 2, 2) == 12
 
+    def test_at_least_r_when_no_credential_must_appear(self):
+        # every size-2 credential is don't-care, yet an array meeting r
+        # still has r rows
+        schema = AttributeSchema(
+            (AttributeDef("A", ("x", "y")), AttributeDef("B", ("p", "q")))
+        )
+        cons = ConstraintSet(
+            dont_care=frozenset({Credential(((0, 0),)), Credential(((0, 1),))})
+        )
+        assert row_lower_bound(schema, cons, 2, 2) == 2
+        assert row_lower_bound(schema, cons, 5, 2) == 5
+
     def test_linear_in_r(self, university_schema, university_constraints):
         b1 = row_lower_bound(university_schema, university_constraints, 1, 2)
         b2 = row_lower_bound(university_schema, university_constraints, 2, 2)

@@ -214,6 +214,8 @@ class TestConstructPadding:
         result = construct_padding(None, cons, config, schema=binary3_schema)
         assert result.array.rows == ((0, 0, 0), (0, 0, 0))
         assert validate(result.array, 2, 3, cons).ok
+        assert result.lower_bound == 2
+        assert result.meets_lower_bound
 
     def test_no_legal_row_infeasible(self, binary3_schema):
         cons = ConstraintSet(

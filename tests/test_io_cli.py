@@ -578,6 +578,39 @@ class TestCliConstruct:
         padded = load_array(out_file, schema)
         assert padded.n_rows == 12
 
+    def test_lower_bound_at_least_r_in_summary(self, capsys, tmp_path):
+        # every size-2 credential is don't-care: two copies of one row
+        # meet r = 2 and cannot shrink
+        schema, cons = tmp_path / "s.json", tmp_path / "c.json"
+        schema.write_text(
+            json.dumps(
+                {
+                    "attributes": [
+                        {"name": "A", "values": ["x", "y"]},
+                        {"name": "B", "values": ["p", "q"]},
+                    ]
+                }
+            )
+        )
+        cons.write_text(json.dumps({"dont_care": [[["A", "x"]], [["A", "y"]]]}))
+        code, out, _ = run(
+            capsys,
+            "construct",
+            schema,
+            "-",
+            cons,
+            "--t",
+            "2",
+            "--r",
+            "2",
+            "--json",
+            "-o",
+            tmp_path / "out.csv",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["rows"], doc["lower_bound"]) == (2, 2)
+
     def test_row_labels_round_trip(self, capsys, tmp_path):
         out_file = tmp_path / "padded.csv"
         code, _, _ = run(

@@ -462,8 +462,9 @@ def test_kinds_on_matches_classify(case, r, rnd):
                 for values, kind in zip(tuples, expected)
                 if values in among and kind != UNCONSTRAINED
             }
+    # at least r: an array that meets r has r rows
     assert row_lower_bound(schema, constraints, r, t) == r * max(
-        n for cols, n in unconstrained.items() if len(cols) == t
+        1, *(n for cols, n in unconstrained.items() if len(cols) == t)
     )
 
 
