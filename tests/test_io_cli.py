@@ -611,6 +611,28 @@ class TestCliConstruct:
         doc = json.loads(out)
         assert (doc["rows"], doc["lower_bound"]) == (2, 2)
 
+    def test_first_attribute_named_id_round_trip(self, capsys, tmp_path):
+        # no label column: the header "id,B" is the schema's own names
+        schema, out_file = tmp_path / "s.json", tmp_path / "out.csv"
+        schema.write_text(
+            json.dumps(
+                {
+                    "attributes": [
+                        {"name": "id", "values": ["0", "1"]},
+                        {"name": "B", "values": ["p", "q"]},
+                    ]
+                }
+            )
+        )
+        code, _, _ = run(
+            capsys, "construct", schema, "-", "--t", "2", "--r", "2", "-o", out_file
+        )
+        assert code == 0
+        assert out_file.read_text(encoding="utf-8").splitlines()[0] == "id,B"
+        code, out, err = run(capsys, "verify", schema, out_file, "--t", "2")
+        assert (code, err) == (0, "")
+        assert "r = 2" in out
+
     def test_row_labels_round_trip(self, capsys, tmp_path):
         out_file = tmp_path / "padded.csv"
         code, _, _ = run(
