@@ -191,20 +191,15 @@ def is_anonymizing_for(
 
 
 def anonymity_profile(
-    array: AccessProfileArray,
-    constraints: ConstraintSet = EMPTY_CONSTRAINTS,
-    t_max: Optional[int] = None,
+    array: AccessProfileArray, constraints: ConstraintSet = EMPTY_CONSTRAINTS
 ) -> AnonymityProfile:
-    """(t, r) pairs for t = 1 upward, stopping at the first r <= 1.
+    """(t, r) pairs for t = 1 up to k, stopping at the first r <= 1.
 
     A hard violation collapses the profile to the single entry (1, 0)
     with the violating rows attached.
     """
-    limit = array.k if t_max is None else t_max
-    if not 1 <= limit <= array.k:
-        raise InvalidParameterError(f"t_max={t_max} out of range for k={array.k}")
     entries: List[Tuple[int, int]] = []
-    for t in range(1, limit + 1):
+    for t in range(1, array.k + 1):
         report = compute_guarantee(array, t, constraints)
         if report.hard_violations:
             return AnonymityProfile(
