@@ -31,14 +31,12 @@ every component extends, and every minimal implicit hard constraint lies
 inside one component: the walk over credentials of size <= t stays
 inside each component, and its cost grows with the largest component,
 not with k.  Before asking `complete`, the walk writes the credential's
-cells over the component's smallest legal assignment and tests that row
-with `_holds_any`, the full-row test construction's row filling uses
-too (the assignment was legal, so only constraints touching the written
-cells can hold); when all 16 attributes of a 4-valued schema form one
-chain of 15 pairs at t=3, dropping that pre-test made the check 2.5-3
-times slower.  When some component has no legal assignment, no row is
-legal, nothing extends, and every (attribute, value) pair that is not
-itself hard is derived; no witness is listed.
+cells over the component's smallest legal assignment and tests the row
+with `_holds_any`, as row filling does; on a chain of 15 pairs joining
+all 16 attributes of a 4-valued schema at t=3, dropping that pre-test
+made the check 2.5-3 times slower.  When some component has no legal
+assignment, no row is legal, nothing extends, and every (attribute,
+value) pair that is not itself hard is derived; no witness is listed.
 
 The appearance rule ("every unconstrained credential must appear r
 times") and hence feasibility and the lower bound are evaluated over
@@ -146,8 +144,7 @@ def _within(credential: Credential, cells: Dict[int, int]) -> bool:
 
 
 def _holds_any(credentials) -> Callable[[Row], bool]:
-    """Full row -> whether it holds any of the credentials: one projection
-    and one set lookup per attribute set the credentials use."""
+    """Full row -> whether it holds any of the credentials, by attribute set."""
     by_attributes: Dict[ColumnSet, set] = {}
     for cred in credentials:
         values = tuple(v for _, v in cred.pairs)
@@ -258,7 +255,8 @@ def _derive_in_component(
                 fixed = dict(zip(cols, values))
                 if any(_within(d, fixed) for d in derived):
                     continue
-                # extends when `base` with the cells written over it is legal
+                # `base` is legal, so this row holds a hard constraint only
+                # if one touches the written cells
                 row = list(base)
                 for c, x in fixed.items():
                     row[c] = x
@@ -350,10 +348,9 @@ def row_lower_bound(
     schema: AttributeSchema, constraints: ConstraintSet, r: int, t: int
 ) -> int:
     """r times the largest count of unconstrained size-t credentials on any
-    single t-subset of attributes, and at least r, since an array that
-    meets r has r rows or more even when no credential must appear; a
-    lower bound on N.  Per column set that count is the product of its
-    domain sizes less the size of its `kinds_on` map."""
+    single t-subset of attributes (per column set, the product of its
+    domain sizes less the size of its `kinds_on` map), and at least r: an
+    array that meets r has r rows even when no credential must appear."""
     if r < 1:
         raise InvalidParameterError("r must be at least 1")
     constraints.validate_for(schema)
