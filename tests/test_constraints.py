@@ -319,6 +319,10 @@ class TestRowLowerBound:
         assert row_lower_bound(schema, cons, 2, 2) == 2
         assert row_lower_bound(schema, cons, 5, 2) == 5
 
+    def test_r_below_1_rejected(self, binary3_schema):
+        with pytest.raises(InvalidParameterError, match="^r must be at least 1$"):
+            row_lower_bound(binary3_schema, ConstraintSet(), 0, 2)
+
     def test_linear_in_r(self, university_schema, university_constraints):
         b1 = row_lower_bound(university_schema, university_constraints, 1, 2)
         b2 = row_lower_bound(university_schema, university_constraints, 2, 2)

@@ -32,6 +32,17 @@ class TestConfig:
         with pytest.raises(InvalidParameterError):
             ConstructionConfig(r_target=1, t=2)
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ({"candidates_per_row": 0}, "candidates_per_row must be at least 1"),
+            ({"restarts": -1}, "restarts must be non-negative"),
+        ],
+    )
+    def test_counts_out_of_range(self, field, message):
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+            ConstructionConfig(r_target=2, t=2, **field)
+
     def test_weight_range(self):
         with pytest.raises(InvalidParameterError):
             ConstructionConfig(r_target=2, t=2, homogeneity_weight=Fraction(3, 2))
@@ -203,6 +214,13 @@ class TestConstructPadding:
         with pytest.raises(InfeasibleError) as exc:
             construct_padding(None, cons, config, schema=binary3_schema)
         assert "(implied by {(a1, 0)})" in str(exc.value)
+
+    def test_schema_required_from_scratch(self):
+        config = ConstructionConfig(r_target=2, t=1)
+        with pytest.raises(
+            InvalidParameterError, match="^schema required when base is None$"
+        ):
+            construct_padding(None, ConstraintSet(), config)
 
     def test_nothing_to_pad_from_scratch(self, binary3_schema):
         # every size-3 credential is hard or don't-care

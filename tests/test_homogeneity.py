@@ -99,6 +99,10 @@ class TestCloseness:
     def test_disjoint_groups(self, two_groups):
         assert closeness(0, 3, two_groups, 2) == 0
 
+    def test_self_closeness_rejected(self, two_groups):
+        with pytest.raises(InvalidParameterError, match="^self-closeness is undefined$"):
+            closeness(1, 1, two_groups, 2)
+
     @pytest.mark.parametrize("i,j,bad", [(0, 99, 99), (-1, 0, -1), (8, 1, 8)])
     def test_row_out_of_range(self, two_groups, i, j, bad):
         with pytest.raises(InvalidParameterError, match=f"^row index {bad} out of range$"):

@@ -808,6 +808,59 @@ class TestCliConstruct:
         assert doc["rows"] == padded.n_rows == 12
 
 
+class TestCliBadInputFiles:
+    BINARY3 = FIXTURES / "binary3_schema.json"
+    REPEATED = {"name": "a", "values": ["0", "1"]}
+
+    @pytest.mark.parametrize(
+        "schema_doc, constraints_doc, message",
+        [
+            ([], None, "top-level value must be an object"),
+            (
+                {"attributes": [REPEATED, REPEATED]},
+                None,
+                "attribute names must be unique",
+            ),
+            (
+                None,
+                {"hard": [[["a1", "0"], ["a1", "1"]]]},
+                "hard constraint: credential attributes must be distinct",
+            ),
+            (None, {"hard": {}}, '"hard" must be a list'),
+            (
+                None,
+                {"allowed_column_sets": "a1"},
+                '"allowed_column_sets" must be a list',
+            ),
+            (
+                None,
+                {"allowed_column_sets": ["a1"]},
+                "allowed column set must be a list of attribute names",
+            ),
+        ],
+        ids=[
+            "top-level-list",
+            "repeated-attribute",
+            "attribute-twice-in-constraint",
+            "hard-not-list",
+            "allowed-not-list",
+            "allowed-entry-not-list",
+        ],
+    )
+    def test_exit_1_naming_the_file(
+        self, capsys, tmp_path, schema_doc, constraints_doc, message
+    ):
+        schema, cons = self.BINARY3, tmp_path / "c.json"
+        cons.write_text(json.dumps(constraints_doc or {}))
+        bad = cons
+        if schema_doc is not None:
+            schema = bad = tmp_path / "s.json"
+            schema.write_text(json.dumps(schema_doc))
+        code, out, err = run(capsys, "constraints-derive", schema, cons, "--t", "1")
+        assert (code, out) == (1, "")
+        assert err == f"error: {bad}: {message}\n"
+
+
 class TestCliOptions:
     @pytest.mark.parametrize(
         "argv",

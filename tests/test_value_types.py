@@ -24,6 +24,7 @@ from anonarray import (
     FeasibilityReport,
     GuaranteeReport,
     HomogeneityReport,
+    InvalidParameterError,
     Neighborhood,
     ValidationResult,
 )
@@ -208,6 +209,29 @@ def test_missing_or_unknown_arguments_rejected():
         AnonymityProfile(entries=(), extra=())
     with pytest.raises(TypeError):
         AnonymityProfile((), entries=())
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: AttributeDef("a", ()), "attribute 'a' must have at least one value"),
+        (lambda: Credential(()), "credential must contain at least one pair"),
+        (
+            lambda: Credential(((1, 0),)).validate_for(SCHEMA),
+            "attribute index 1 out of range",
+        ),
+        (lambda: AccessProfileArray(SCHEMA, ()), "array must have at least one row"),
+        (
+            lambda: AccessProfileArray(SCHEMA, ((0,), (1,)), ("x",)),
+            "row_labels length must equal row count",
+        ),
+    ],
+    ids=["no-values", "empty-credential", "attribute-index", "no-rows", "labels"],
+)
+def test_invalid_values_rejected(build, message):
+    with pytest.raises(InvalidParameterError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_only_credentials_are_ordered():

@@ -129,6 +129,10 @@ class TestValidate:
         target = cred(university_schema, ("Role", "faculty"), ("Department", "CS"))
         assert any(c == target and n == 2 for _, c, n, _ in result.violations)
 
+    def test_r_target_below_1_rejected(self, full_factorial):
+        with pytest.raises(InvalidParameterError, match="^r_target must be at least 1$"):
+            validate(full_factorial, 0, 2)
+
     def test_trivial_at_r1(self, full_factorial):
         assert validate(full_factorial, 1, 2).ok
 
