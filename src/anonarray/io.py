@@ -153,7 +153,7 @@ def parse_array(text: str, schema: AttributeSchema, filename=None) -> AccessProf
         raise ParseError("empty array document", filename=filename, line=1)
     header = [h.strip() for h in header]
     expected = [a.name for a in schema.attributes]
-    # a leading "id" cell labels rows unless it is the schema's first name
+    # a leading "id" cell labels rows, unless the header is the schema's names
     has_id = header != expected and header[:1] == ["id"]
     names = header[1:] if has_id else header
     if names != expected:
